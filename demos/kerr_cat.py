@@ -16,11 +16,11 @@ from phasekey import (
     CircuitDescription,
     NonlinearPhaseSpec,
     cat_state_target,
+    client_decrypt,
     coherent_fock,
     overlap,
     run_protocol,
 )
-from phasekey.protocol import _decrypt_state
 
 ALPHA = 1.5
 KERR = CircuitDescription(gates=(NonlinearPhaseSpec(terms={(2,): 1.0}, t=math.pi / 2),))
@@ -33,7 +33,7 @@ print(f"state correctness vs plaintext evaluation: {tr.correctness['metric']} "
       f"{tr.correctness['value']:.12f} (pass = {tr.correct})")
 print()
 
-plain = _decrypt_state(tr.returned, tr.key).payload
+plain = client_decrypt(tr.returned, tr.key).payload
 target = cat_state_target(ALPHA, plain.cutoff)
 fid = abs(overlap(target, plain)) ** 2
 print(f"fidelity of the decrypted state with the balanced cat: {fid:.12f}")

@@ -20,8 +20,8 @@ from .evaluation import Interferometer, NonlinearPhaseSpec, cat_state_target
 from .fock import CapacityError
 from .protocol import (
     CircuitDescription,
-    _decrypt_state,
     circuit_from_json,
+    client_decrypt,
     run_protocol,
     wire_float,
 )
@@ -69,6 +69,14 @@ def parse_int_list(text: str) -> list:
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from None
     return sorted(values)
+
+
+def parse_mode_list(text: str) -> list:
+    """parse_int_list for mode counts, which start at 1."""
+    values = parse_int_list(text)
+    if values[0] < 1:
+        raise argparse.ArgumentTypeError(f"mode counts must be at least 1: {text!r}")
+    return values
 
 
 def parse_energy_rule(text: str):
@@ -186,7 +194,7 @@ def _resolve_circuit(spec: str, m: int) -> CircuitDescription:
 
 
 def _cat_fidelity(tr) -> float:
-    plain = _decrypt_state(tr.returned, tr.key)
+    plain = client_decrypt(tr.returned, tr.key)
     target = cat_state_target(tr.alpha, plain.payload.cutoff)
     a, b = plain.payload.amps, target.amps
     fid = float(abs(np.vdot(a, b)) ** 2
@@ -246,7 +254,7 @@ def build_parser() -> _Parser:
                     "fixed total energy or at E = m^r.")
     sweep.add_argument("--quantity", required=True,
                        choices=["enc_distance", "unenc_distance", "ratio"])
-    sweep.add_argument("--m", type=parse_int_list, default=[10],
+    sweep.add_argument("--m", type=parse_mode_list, default=[10],
                        help="mode counts, e.g. 10 or 2-12 (default 10)")
     sweep.add_argument("--d", type=int, default=100,
                        help="key-space size (default 100)")
@@ -270,7 +278,7 @@ def build_parser() -> _Parser:
                     "fixed total energy or E = m^r; this is the "
                     "information-versus-m curve that stays flat in one rule "
                     "and grows in the other.")
-    mut.add_argument("--m", type=parse_int_list, default=parse_int_list("2-20"),
+    mut.add_argument("--m", type=parse_mode_list, default=parse_int_list("2-20"),
                      help="mode counts (default 2-20)")
     mut.add_argument("--d", type=int, default=100,
                      help="key-space size (accepted for flag parity; the "

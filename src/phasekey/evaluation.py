@@ -6,18 +6,22 @@ basis, multiplying the coefficient of |z> by exp(-i t sum_terms g prod_k
 z_k^{n_k}); they require the Fock representation.  Both families conserve
 total photon number, which is why they commute with the encryption
 rotation and can run on ciphertexts.
+
+In the number basis an interferometer is exponentiated one fixed-total-
+photon block at a time, each by a single Hermitian eigensolve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .encoding import AmplitudeVector
-from .fock import FockVector, coherent_coefficients, occupation_array, total_photon_numbers
+from .fock import FockVector, coherent_coefficients, occupation_array
 
 UNITARITY_TOL = 1e-10
 
@@ -141,13 +145,22 @@ def cat_state_target(alpha: complex, n_max: int) -> FockVector:
     return FockVector(cutoff=n_max, modes=1, amps=amps)
 
 
+def _evolve_hermitian(hb: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """exp(-i hb) @ vec for Hermitian hb, by one eigensolve."""
+    ev, w = np.linalg.eigh(hb)
+    return w @ (np.exp(-1j * ev) * (w.conj().T @ vec))
+
+
 def beamsplitter_fock(theta_bs: float, psi: FockVector) -> FockVector:
     """Two-mode rotation exp(theta (a^dag b - a b^dag)) in the number basis.
 
     Total photon number is conserved, so the rotation factors into one
-    orthogonal block per total n; blocks clipped by the per-mode cutoff
-    are rotated within the kept occupations, which preserves the norm but
-    is only approximate for amplitudes at the cutoff edge.
+    real antisymmetric generator per total n, exponentiated as
+    exp(-i (i theta G)) by a Hermitian eigensolve.  Blocks clipped by the
+    per-mode cutoff are rotated within the kept occupations, which
+    preserves the norm but is only approximate for amplitudes at the
+    cutoff edge.  The generator is built here independently of
+    interferometer_fock, so each serves as a reference for the other.
     """
     if psi.modes != 2:
         raise ValueError("beamsplitter acts on exactly two modes")
@@ -165,43 +178,100 @@ def beamsplitter_fock(theta_bs: float, psi: FockVector) -> FockVector:
             g = math.sqrt((j + 1) * (n - j))
             gen[p + 1, p] = g
             gen[p, p + 1] = -g
-        block = expm(theta_bs * gen)
         idx = js * (n_max + 1) + (n - js)
-        amps[idx] = block @ amps[idx]
+        amps[idx] = _evolve_hermitian(1j * theta_bs * gen, amps[idx])
     return FockVector(cutoff=n_max, modes=2, amps=amps)
+
+
+def _mode_generator(u: Interferometer) -> np.ndarray:
+    """Hermitian h with exp(-i h) = u, from one general eigensolve of u.
+
+    Eigenvectors are re-orthonormalized by QR, so repeated eigenvalues
+    still give a unitary eigenbasis.  Each eigenvalue contributes minus
+    its angle, in [-pi, pi]: the branch of the principal matrix logarithm,
+    h = i logm(u).  On an eigenvalue -1 the sign of its rounded imaginary
+    part picks +-pi, as in the logarithm, which matters only for the
+    clipped blocks of interferometer_fock.
+    """
+    w, v = np.linalg.eig(u.u)
+    q, _ = np.linalg.qr(v)
+    h = (q * -np.angle(w)) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+class _Sectors(NamedTuple):
+    """Fixed-total-photon blocks of the (n_max+1)^m grid, read-only.
+
+    order lists the flat indices grouped by total n (index order inside a
+    block), block n being order[starts[n]:starts[n+1]]; occ holds their
+    occupations as floats.  The hops of block n, hop_starts[n] to
+    hop_starts[n+1], carry a photon from mode k to mode j: local row and
+    column inside the block, the pair (j, k), and sqrt(z_k (z_j + 1)).
+    Hops that would push a mode past n_max are absent, which is what
+    clips a block.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    occ: np.ndarray
+    hop_starts: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    js: np.ndarray
+    ks: np.ndarray
+    factors: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _sectors(n_max: int, m: int) -> _Sectors:
+    occ = occupation_array(n_max, m)
+    totals = occ.sum(axis=1)
+    blocks = np.arange(m * n_max + 2)
+    order = np.argsort(totals, kind="stable")
+    starts = np.searchsorted(totals[order], blocks)
+    local = np.empty(len(occ), dtype=np.int64)
+    local[order] = np.arange(len(occ)) - starts[totals[order]]
+    j_of, k_of = np.nonzero(~np.eye(m, dtype=bool))
+    movable = (occ[:, k_of] > 0) & (occ[:, j_of] < n_max)
+    src, pair = np.nonzero(movable)
+    js, ks = j_of[pair], k_of[pair]
+    place = (n_max + 1) ** np.arange(m - 1, -1, -1)
+    tgt = src + place[js] - place[ks]
+    factors = np.sqrt(occ[src, ks] * (occ[src, js] + 1.0))
+    by_block = np.argsort(totals[src], kind="stable")
+    hop_starts = np.searchsorted(totals[src][by_block], blocks)
+    sectors = _Sectors(order=order, starts=starts, occ=occ[order].astype(float),
+                       hop_starts=hop_starts, rows=local[tgt][by_block],
+                       cols=local[src][by_block], js=js[by_block], ks=ks[by_block],
+                       factors=factors[by_block])
+    for arr in sectors:
+        arr.flags.writeable = False
+    return sectors
 
 
 def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
     """Apply a passive m-mode unitary in the number basis.
 
-    Lifts u = exp(-iH) through the quadratic Hamiltonian sum_jk H_jk
-    a_j^dag a_k and exponentiates it per fixed-total-photon block.  As in
-    beamsplitter_fock, blocks clipped by the cutoff stay unitary but only
-    approximate the untruncated action near the edge.
+    Lifts u = exp(-i h) (h from _mode_generator) to the quadratic
+    Hamiltonian H = sum_jk h_jk a_j^dag a_k and applies exp(-i H_n) to
+    each fixed-total-photon block, one Hermitian eigensolve per block.  As
+    in beamsplitter_fock, blocks clipped by the cutoff stay unitary but
+    only approximate the untruncated action near the edge.
     """
     m = psi.modes
     if u.modes != m:
         raise ValueError("interferometer size must match the mode count")
-    h = 1j * logm(u.u)
-    h = 0.5 * (h + h.conj().T)
-    n_max = psi.cutoff
-    occ = occupation_array(n_max, m)
-    totals = total_photon_numbers(n_max, m)
-    place = (n_max + 1) ** np.arange(m - 1, -1, -1)
-    amps = psi.amps.copy()
-    for n in range(int(totals.max()) + 1):
-        idx = np.nonzero(totals == n)[0]
-        local = {int(g): p for p, g in enumerate(idx)}
-        hb = np.zeros((len(idx), len(idx)), dtype=complex)
-        for p, g in enumerate(idx):
-            z = occ[g]
-            hb[p, p] += float(z @ np.real(np.diag(h)))
-            for j in range(m):
-                for k in range(m):
-                    if j == k or z[k] == 0 or z[j] + 1 > n_max:
-                        continue
-                    target = int(g + place[j] - place[k])
-                    hb[local[target], p] += h[j, k] * math.sqrt(z[k] * (z[j] + 1))
-        block = expm(-1j * hb)
-        amps[idx] = block @ amps[idx]
-    return FockVector(cutoff=n_max, modes=m, amps=amps)
+    h = _mode_generator(u)
+    s = _sectors(psi.cutoff, m)
+    diag = s.occ @ h.diagonal().real
+    hops = h[s.js, s.ks] * s.factors
+    grouped = psi.amps[s.order]
+    for n in range(len(s.starts) - 1):
+        a, b = s.starts[n], s.starts[n + 1]
+        hb = np.diag(diag[a:b].astype(complex))
+        sl = slice(s.hop_starts[n], s.hop_starts[n + 1])
+        hb[s.rows[sl], s.cols[sl]] = hops[sl]
+        grouped[a:b] = _evolve_hermitian(hb, grouped[a:b])
+    amps = np.empty_like(grouped)
+    amps[s.order] = grouped
+    return FockVector(cutoff=psi.cutoff, modes=m, amps=amps)

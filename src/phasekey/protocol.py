@@ -239,8 +239,13 @@ def evaluator_apply(circuit: CircuitDescription, ct: CipherText,
     return CipherText(repr_tag="fock", payload=state, m=ct.m, cutoff=state.cutoff)
 
 
-def _decrypt_state(ct: CipherText, key: PhaseKey) -> CipherText:
-    """Inverse rotation on every mode; representation is preserved."""
+def client_decrypt(ct: CipherText, key: PhaseKey) -> CipherText:
+    """Undo the key rotation on every mode, keeping the representation.
+
+    The decrypted state itself, before any decoding: amplitude
+    ciphertexts give the plaintext amplitudes, number-basis ones the
+    plaintext Fock state.
+    """
     if ct.repr_tag == "amplitude":
         return CipherText(repr_tag="amplitude", m=ct.m,
                           payload=phase_rotate(ct.payload, -key.theta))
@@ -280,7 +285,7 @@ def client_decrypt_decode(ct: CipherText, key: PhaseKey, alpha: complex) -> BitS
     """
     if alpha == 0:
         raise UndecodableError("the code is degenerate at alpha = 0")
-    plain = _decrypt_state(ct, key)
+    plain = client_decrypt(ct, key)
     if plain.repr_tag == "amplitude":
         return _decode_amplitude(plain.payload, alpha)
     return _decode_fock(plain.payload, alpha)
@@ -361,7 +366,7 @@ def run_protocol(x: BitString, alpha: complex, d: int, circuit: CircuitDescripti
 
     sent = client_encrypt(x, alpha, key)
     returned = evaluator_apply(circuit, sent, n_max=n_max)
-    decrypted = _decrypt_state(returned, key)
+    decrypted = client_decrypt(returned, key)
 
     reference = evaluator_apply(
         circuit, CipherText(repr_tag="amplitude", payload=encode(x, alpha), m=m),

@@ -77,6 +77,18 @@ class TestExitCodes:
         assert rc == 1
         assert "w" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["mutinfo", "--m", "0-3"],
+        ["security-sweep", "--quantity", "ratio", "--m", "0-2", "--w", "0",
+         "--energy-rule", "fixed"],
+        ["security-sweep", "--quantity", "ratio", "--m", "0-2", "--w", "0",
+         "--energy-rule", "m^0.3"],
+    ])
+    def test_zero_modes_is_usage(self, args, capsys):
+        # the energy rules divide E by m, so m = 0 must stop at the parser
+        assert run_cli(args) == 1
+        assert "mode counts must be at least 1" in capsys.readouterr().err
+
     def test_bad_energy_rule_is_usage(self, capsys):
         rc = run_cli(["mutinfo", "--m", "2", "--energy-rule", "m**2"])
         assert rc == 1
@@ -316,6 +328,25 @@ class TestSubprocessSurface:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "security-sweep" in proc.stdout
+
+    def test_number_basis_demo_leaves_scipy_unloaded(self, tmp_path):
+        circuit = tmp_path / "cross_kerr.json"
+        circuit.write_text(
+            '{"type":"circuit","gates":[{"kind":"nonlinear",'
+            '"terms":[{"exps":[1,1],"g":0.5}],"t":1.0},{"kind":"interferometer",'
+            '"matrix":[[[0.6,0],[0.8,0]],[[-0.8,0],[0.6,0]]]}]}')
+        out = tmp_path / "t.jsonl"
+        argv = ["protocol-demo", "--m", "2", "--x", "10", "--alpha", "1.2",
+                "--circuit", str(circuit), "--out", str(out)]
+        code = ("import sys\n"
+                "from phasekey import cli\n"
+                f"rc = cli.main({argv!r})\n"
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        returned = json.loads(out.read_text().splitlines()[4])["body"]
+        assert returned["repr"] == "fock"
 
     def test_module_usage_error_exits_one(self):
         proc = subprocess.run(

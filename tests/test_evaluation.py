@@ -1,10 +1,11 @@
 """Tests for the allowed homomorphic operations."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from phasekey.encoding import AmplitudeVector, phase_rotate, phase_rotate_fock
 from phasekey.evaluation import (
@@ -31,6 +32,63 @@ def _random_fock(rng, n_max, modes):
     dim = (n_max + 1) ** modes
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return FockVector(cutoff=n_max, modes=modes, amps=amps / np.linalg.norm(amps))
+
+
+def _truncated_lowering(n_max, modes):
+    """a_k on the (n_max+1)^modes grid, one dense matrix per mode."""
+    lower = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    eye = np.eye(n_max + 1)
+    return [functools.reduce(np.kron, [lower if i == k else eye for i in range(modes)])
+            for k in range(modes)]
+
+
+def _expm_per_block(gen, psi):
+    """expm(gen) applied one total-photon block at a time.
+
+    The truncated ladder matrices give exact matrix elements between kept
+    occupations and none past the cutoff, so each restricted block is the
+    clipped block the number-basis routines exponentiate.
+    """
+    totals = total_photon_numbers(psi.cutoff, psi.modes)
+    out = psi.amps.copy()
+    for n in np.unique(totals):
+        idx = np.nonzero(totals == n)[0]
+        out[idx] = expm(gen[np.ix_(idx, idx)]) @ psi.amps[idx]
+    return out
+
+
+def _reference_interferometer_fock(u, psi):
+    """h = i logm(u), H = sum_jk h_jk a_j^dag a_k densely, expm(-iH) per block."""
+    h = 1j * logm(u.u)
+    h = 0.5 * (h + h.conj().T)
+    a = _truncated_lowering(psi.cutoff, psi.modes)
+    big_h = sum(h[j, k] * (a[j].T @ a[k])
+                for j in range(psi.modes) for k in range(psi.modes))
+    return _expm_per_block(-1j * big_h, psi)
+
+
+def _with_eigenvalues(seed, eigenvalues):
+    """Unitary with the given eigenvalues on a Haar-random eigenbasis."""
+    v = haar_random_unitary(len(eigenvalues), seed).u
+    return v @ np.diag(eigenvalues) @ v.conj().T
+
+
+# The eigensolver rounds the -1 of seed 0 to angle +pi and that of seed 3
+# to -pi; scipy's logm follows the same sign in both.  For the repeated
+# eigenvalue it returns eigenvectors far from orthogonal.
+_EDGE_UNITARIES = {
+    "rotated-minus-one-0": _with_eigenvalues(0, [-1.0, np.exp(0.3j)]),
+    "rotated-minus-one-3": _with_eigenvalues(3, [-1.0, np.exp(0.3j)]),
+    "repeated-eigenvalue": _with_eigenvalues(
+        0, [np.exp(0.5j), np.exp(0.5j), np.exp(-0.9j)]),
+    "phase-flip": np.array([[-1.0]]),
+    "hadamard": np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2),
+    "minus-identity": -np.eye(2),
+    "identity-2": np.eye(2),
+    "identity-3": np.eye(3),
+    "three-cycle": np.eye(3)[[1, 2, 0]],
+    "swap-of-three": np.eye(3)[[1, 0, 2]],
+}
 
 
 class TestInterferometer:
@@ -192,6 +250,13 @@ class TestBeamsplitterFock:
         assert got.amps[0 * (n_max + 1) + 1] == pytest.approx(want01, abs=1e-12)
         assert got.amps[1 * (n_max + 1) + 0] == pytest.approx(want10, abs=1e-12)
         assert abs(abs(got.amps[1 * (n_max + 1) + 0]) - 1 / math.sqrt(2)) < 1e-12
+        # every sector n = 0 .. 2 n_max, clipped ones included, against
+        # expm of a^dag b - a b^dag built from truncated ladder matrices
+        psi = _random_fock(np.random.default_rng(15), n_max, 2)
+        a, b = _truncated_lowering(n_max, 2)
+        want = _expm_per_block(math.pi / 4 * (a.T @ b - a @ b.T), psi)
+        np.testing.assert_allclose(beamsplitter_fock(math.pi / 4, psi).amps, want,
+                                   rtol=0, atol=1e-12)
 
     def test_total_photon_distribution_invariant(self):
         rng = np.random.default_rng(8)
@@ -258,6 +323,27 @@ class TestInterferometerFock:
         psi = _random_fock(rng, 4, 2)
         u = haar_random_unitary(2, 44)
         assert interferometer_fock(u, psi).squared_norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n_max", [4, 5, 6])
+    def test_haar_against_logm_expm_reference(self, m, n_max):
+        rng = np.random.default_rng(100 * m + n_max)
+        for seed in range(3):
+            u = haar_random_unitary(m, 1000 * m + 10 * n_max + seed)
+            psi = _random_fock(rng, n_max, m)
+            np.testing.assert_allclose(interferometer_fock(u, psi).amps,
+                                       _reference_interferometer_fock(u, psi),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_UNITARIES))
+    def test_edge_unitaries_against_logm_expm_reference(self, name):
+        u = Interferometer(_EDGE_UNITARIES[name])
+        rng = np.random.default_rng(len(name))
+        for n_max in (4, 5, 6):
+            psi = _random_fock(rng, n_max, u.modes)
+            np.testing.assert_allclose(interferometer_fock(u, psi).amps,
+                                       _reference_interferometer_fock(u, psi),
+                                       rtol=0, atol=1e-12)
 
 
 class TestFockLevelCommutation:
