@@ -79,6 +79,14 @@ def parse_mode_list(text: str) -> list:
     return values
 
 
+def parse_mode_count(text: str) -> int:
+    """One mode count, checked as parse_mode_list checks lists."""
+    values = parse_mode_list(text)
+    if len(values) != 1:
+        raise argparse.ArgumentTypeError(f"expected one mode count: {text!r}")
+    return values[0]
+
+
 def parse_energy_rule(text: str):
     """Return E as a function of m: "fixed" (a constant) or "m^R"."""
     if text == "fixed":
@@ -311,7 +319,7 @@ def build_parser() -> _Parser:
                     "evaluation.  The kerr-cat builtin also records the "
                     "fidelity of the decrypted state against the balanced "
                     "two-component superposition it should produce.")
-    demo.add_argument("--m", type=int, default=1, help="mode count (default 1)")
+    demo.add_argument("--m", type=parse_mode_count, default=1, help="mode count (default 1)")
     demo.add_argument("--d", type=int, default=100,
                       help="key-space size (default 100)")
     demo.add_argument("--alpha", type=float, default=1.0,

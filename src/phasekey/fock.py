@@ -38,23 +38,22 @@ def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     return b
 
 
-def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_EPS,
-                     hard_cap: int = HARD_CUTOFF_CAP) -> int:
-    """Smallest n_max whose Poisson(E) tail mass beyond n_max is below eps.
+def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
+                  hard_cap: int = HARD_CUTOFF_CAP) -> np.ndarray:
+    """Poisson(E) probabilities e^{-E} E^t / t! for t = 0..n, n the cutoff.
 
-    E is the total mean photon number of the computation (m|alpha|^2 for
-    codewords); the total photon number of a multimode coherent state is
-    Poisson(E), so a joint cutoff at n_max discards less than eps of the
-    state's mass.  Raises CapacityError when the answer would exceed
-    hard_cap.
+    n is the smallest count whose tail mass beyond n is below eps.  The
+    terms come from the recurrence p_t = p_{t-1} E / t started at e^{-E};
+    every closed form sums these same terms.  Raises CapacityError when n
+    would exceed hard_cap.
     """
-    E = float(abs_alpha_sq_total)
+    E = float(E)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if E < 0.0:
         raise ValueError("total energy must be nonnegative")
     if E == 0.0:
-        return 0
+        return np.ones(1)
     # Collect probability terms until they are far below eps and past the
     # distribution mode, then form tails by summing small terms first so
     # the tail values carry no cancellation error.
@@ -66,16 +65,27 @@ def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_
         if t > 2 * hard_cap + 64:
             raise CapacityError(
                 f"cutoff for tail {eps:g} at energy {E:g} exceeds the cap {hard_cap}")
-    tails = np.cumsum(np.asarray(terms)[::-1])[::-1]
+    terms = np.asarray(terms)
     # tails[n] = P(total >= n); the mass beyond n is tails[n + 1]
-    for n in range(len(terms) - 1):
-        if tails[n + 1] < eps:
-            if n > hard_cap:
-                raise CapacityError(
-                    f"cutoff {n} for tail {eps:g} at energy {E:g} exceeds the cap {hard_cap}")
-            return n
-    raise CapacityError(
-        f"cutoff for tail {eps:g} at energy {E:g} exceeds the cap {hard_cap}")
+    tails = np.cumsum(terms[::-1])[::-1]
+    below = np.flatnonzero(tails[1:] < eps)
+    if len(below) == 0 or below[0] > hard_cap:
+        raise CapacityError(
+            f"cutoff for tail {eps:g} at energy {E:g} exceeds the cap {hard_cap}")
+    return terms[:below[0] + 1]
+
+
+def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_EPS,
+                     hard_cap: int = HARD_CUTOFF_CAP) -> int:
+    """Smallest n_max whose Poisson(E) tail mass beyond n_max is below eps.
+
+    E is the total mean photon number of the computation (m|alpha|^2 for
+    codewords); the total photon number of a multimode coherent state is
+    Poisson(E), so a joint cutoff at n_max discards less than eps of the
+    state's mass.  This is the last index of poisson_terms(E, eps), with
+    its ValueError and CapacityError cases.
+    """
+    return len(poisson_terms(abs_alpha_sq_total, eps, hard_cap)) - 1
 
 
 def occupation_array(n_max: int, modes: int) -> np.ndarray:

@@ -10,7 +10,10 @@ The central objects are the trace distances an adversary can exploit:
   distinguishability.
 
 Closed forms evaluate in O(E + d) time via total-photon-number residue
-sums.  Every closed form has a brute-force companion here (dense or
+sums.  They take the Poisson(E) terms from fock.poisson_terms, the same
+terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
+add them in index order (np.bincount, np.cumsum); that fixed order is what
+keeps the sweep CSVs byte-identical.  Every closed form has a brute-force companion here (dense or
 support-basis density-matrix computation, tuple enumeration, numeric
 pretty-good measurement) so the formulas are never trusted on their own.
 """
@@ -27,8 +30,8 @@ from .fock import (
     coherent_fock,
     density_from_fock,
     occupation_array,
+    poisson_terms,
     total_photon_numbers,
-    truncation_bound,
 )
 
 # Residue sums and limit series are truncated once the Poisson tail drops
@@ -94,23 +97,6 @@ def rank2_eigenvalues(C: float, cos_theta: float):
     return (1 + C) * (1 - cos_theta), (1 - C) * (1 + cos_theta)
 
 
-def _poisson_terms(E: float, t_max: int) -> np.ndarray:
-    terms = np.empty(t_max + 1)
-    terms[0] = math.exp(-E)
-    for t in range(t_max):
-        terms[t + 1] = terms[t] * E / (t + 1)
-    return terms
-
-
-def _signed_terms(E: float, c: float, t_max: int) -> np.ndarray:
-    # e^{-E} c^t / t!, signed when c < 0
-    terms = np.empty(t_max + 1)
-    terms[0] = math.exp(-E)
-    for t in range(t_max):
-        terms[t + 1] = terms[t] * c / (t + 1)
-    return terms
-
-
 def _class_sums(params: SecurityParams):
     """Residue-class sums (q_k, signed_k) for k = 0..d-1.
 
@@ -119,22 +105,14 @@ def _class_sums(params: SecurityParams):
     series: q_k collects e^{-E} E^t / t! over t = k (mod d), the signed sum
     collects e^{-E} c^t / t! with c = (m - 2w)|alpha|^2.
     """
-    E = params.E
-    d = params.d
-    q = np.zeros(d)
-    s = np.zeros(d)
-    if E == 0.0:
-        q[0] = 1.0
-        s[0] = 1.0
-        return q, s
+    pois = poisson_terms(params.E, SERIES_TAIL_EPS)
     c = (params.m - 2 * params.w) * params.abs_alpha ** 2
-    t_max = truncation_bound(E, SERIES_TAIL_EPS)
-    pois = _poisson_terms(E, t_max)
-    signed = _signed_terms(E, c, t_max)
-    for t in range(t_max + 1):
-        q[t % d] += pois[t]
-        s[t % d] += signed[t]
-    return q, s
+    signed = [float(pois[0])]
+    for t in range(1, len(pois)):
+        signed.append(signed[-1] * c / t)
+    residues = np.arange(len(pois)) % params.d
+    return (np.bincount(residues, pois, minlength=params.d),
+            np.bincount(residues, signed, minlength=params.d))
 
 
 def qk_limit(params: SecurityParams, k: int) -> float:
@@ -202,13 +180,10 @@ def encrypted_trace_distance(params: SecurityParams) -> float:
     Sums q_k sqrt(1 - A_k^2) over the residue-class blocks at finite d.
     """
     q, s = _class_sums(params)
-    total = 0.0
-    for k in range(params.d):
-        if q[k] < 1e-300:
-            continue
-        a = min(1.0, max(-1.0, s[k] / q[k]))
-        total += q[k] * math.sqrt(max(0.0, 1.0 - a * a))
-    return total
+    present = q >= 1e-300
+    a = np.minimum(1.0, np.maximum(-1.0, s[present] / q[present]))
+    blocks = q[present] * np.sqrt(np.maximum(0.0, 1.0 - a * a))
+    return _sum_in_order(blocks)
 
 
 def encrypted_trace_distance_limit(params: SecurityParams) -> float:
@@ -216,18 +191,18 @@ def encrypted_trace_distance_limit(params: SecurityParams) -> float:
 
     r = (m - 2w)/m; the k = 0 block never contributes since A_0 = 1.
     """
-    E = params.E
-    if E == 0.0 or params.w == 0:
+    if params.w == 0:
         return 0.0
+    pois = poisson_terms(params.E, SERIES_TAIL_EPS)
     r2 = ((params.m - 2 * params.w) / params.m) ** 2
-    t_max = truncation_bound(E, SERIES_TAIL_EPS)
-    pois = _poisson_terms(E, t_max)
-    r2k = 1.0
-    total = 0.0
-    for k in range(1, t_max + 1):
-        r2k *= r2
-        total += pois[k] * math.sqrt(max(0.0, 1.0 - r2k))
-    return total
+    r2k = np.cumprod(np.full(len(pois) - 1, r2))  # k = 1..t_max
+    return _sum_in_order(pois[1:] * np.sqrt(np.maximum(0.0, 1.0 - r2k)))
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    # Left to right, unlike the pairwise np.sum or the compensated builtin
+    # sum of Python >= 3.12, so the output bytes never depend on either.
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 def unencrypted_trace_distance(w: int, abs_alpha: float) -> float:

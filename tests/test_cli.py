@@ -89,6 +89,13 @@ class TestExitCodes:
         assert run_cli(args) == 1
         assert "mode counts must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["-1", "0", "2-3"])
+    def test_protocol_demo_bad_mode_count_names_m(self, m, tmp_path, capsys):
+        rc = run_cli(["protocol-demo", "--m", m, "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 1
+        assert "argument --m:" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_bad_energy_rule_is_usage(self, capsys):
         rc = run_cli(["mutinfo", "--m", "2", "--energy-rule", "m**2"])
         assert rc == 1
