@@ -87,6 +87,17 @@ def parse_mode_count(text: str) -> int:
     return values[0]
 
 
+def parse_energy(text: str) -> float:
+    """A total energy: a finite float, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"energy must be finite and nonnegative: {text!r}")
+    return value
+
+
 def parse_energy_rule(text: str):
     """Return E as a function of m: "fixed" (a constant) or "m^R"."""
     if text == "fixed":
@@ -273,7 +284,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--alpha-step", type=float, default=0.02)
     sweep.add_argument("--energy-rule", default=None,
                        help='"fixed" (use --E) or "m^R"; omit to sweep alpha')
-    sweep.add_argument("--E", type=float, default=1.0,
+    sweep.add_argument("--E", type=parse_energy, default=1.0,
                        help="total energy for --energy-rule fixed (default 1.0)")
     sweep.add_argument("--out", default="-", help="output CSV path (default stdout)")
     sweep.set_defaults(handler=_cmd_security_sweep)
@@ -293,7 +304,7 @@ def build_parser() -> _Parser:
                           "measurement ignores it)")
     mut.add_argument("--energy-rule", default="fixed",
                      help='"fixed" (use --E) or "m^R" (default fixed)')
-    mut.add_argument("--E", type=float, default=1.0,
+    mut.add_argument("--E", type=parse_energy, default=1.0,
                      help="total energy for the fixed rule (default 1.0)")
     mut.add_argument("--out", default="-", help="output CSV path (default stdout)")
     mut.set_defaults(handler=_cmd_mutinfo)

@@ -38,7 +38,7 @@ class Interferometer:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("interferometer matrix must be square")
         defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-        if defect > UNITARITY_TOL:
+        if not defect <= UNITARITY_TOL:  # also catches a NaN defect
             raise ValueError(f"matrix is not unitary: max |u^dag u - 1| = {defect:.3e}")
 
     @property
@@ -74,8 +74,11 @@ class NonlinearPhaseSpec:
         lengths = {len(e) for e in cleaned}
         if len(lengths) != 1:
             raise ValueError("all exponent tuples must cover the same mode count")
+        t = float(self.t)
+        if not math.isfinite(t):
+            raise ValueError("the evolution time t must be finite")
         object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
 
     @property
     def modes(self) -> int:

@@ -9,13 +9,18 @@ by a per-mode decision, so its cost never depends on the circuit.
 
 Wire formats are single-line JSON with a fixed field order and floats
 printed at 17 significant digits, so byte-identical transcripts are
-reproducible and diffable.
+reproducible and diffable.  Each payload or matrix is formatted in one
+pass, a single %-format over all its floats, with the bytes that
+formatting float by float gives.  The parsers raise ValueError on
+malformed messages, non-finite or out-of-range numbers included, and on
+booleans or non-integers where an integer belongs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,7 +112,19 @@ def wire_float(x: float) -> str:
 
 
 def _pairs(values) -> str:
-    return "[" + ",".join(f"[{wire_float(z.real)},{wire_float(z.imag)}]" for z in values) + "]"
+    """[[re,im],...] for a complex vector, a list of those for a matrix.
+
+    One %-format over the interleaved parts gives the bytes wire_float
+    gives float by float.
+    """
+    z = np.ascontiguousarray(values, dtype=complex)
+    flat = z.view(float).ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("wire formats only carry finite floats")
+    template = "[" + ",".join(["[%.17g,%.17g]"] * z.shape[-1]) + "]"
+    if z.ndim == 2:
+        template = "[" + ",".join([template] * z.shape[0]) + "]"
+    return template % tuple(flat.tolist())
 
 
 def ciphertext_to_json(ct: CipherText) -> str:
@@ -117,8 +134,36 @@ def ciphertext_to_json(ct: CipherText) -> str:
     return body + "}"
 
 
+def _wire_int(text: str):
+    # %.17g writes the float -0.0 as "-0", which json would read as int 0
+    return -0.0 if text == "-0" else int(text)
+
+
+# what json.loads(text, parse_int=_wire_int) would build on every call
+_DECODER = json.JSONDecoder(parse_int=_wire_int)
+
+
+def _load(text: str):
+    try:
+        return _DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("wire JSON is nested too deeply") from None
+
+
+def _is_int(x) -> bool:
+    # JSON true/false parse to bool, which is an int subclass
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _wire_real(x, what: str) -> float:
+    # the comparison is False for NaN, infinities and ints beyond the float range
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number")
+    return float(x)
+
+
 def ciphertext_from_json(text: str) -> CipherText:
-    obj = json.loads(text)
+    obj = _load(text)
     if not isinstance(obj, dict) or obj.get("type") != "ciphertext":
         raise ValueError('expected an object with "type": "ciphertext"')
     tag = obj.get("repr")
@@ -126,22 +171,25 @@ def ciphertext_from_json(text: str) -> CipherText:
     payload = obj.get("payload")
     if tag not in ("amplitude", "fock"):
         raise ValueError(f"unknown ciphertext repr {tag!r}")
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError("ciphertext field m must be a positive integer")
     if not isinstance(payload, list):
         raise ValueError("ciphertext payload must be a list of [re, im] pairs")
     try:
         amps = np.array([complex(re, im) for re, im in payload])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed payload entry: {exc}") from None
+    if not np.isfinite(amps).all():
+        raise ValueError("ciphertext payload entries must be finite")
     if tag == "amplitude":
         if len(amps) != m:
             raise ValueError("amplitude payload length must equal m")
         return CipherText(repr_tag="amplitude", payload=AmplitudeVector(amps), m=m)
     cutoff = obj.get("cutoff")
-    if not isinstance(cutoff, int) or cutoff < 0:
+    if not _is_int(cutoff) or cutoff < 0:
         raise ValueError("fock ciphertext needs a nonnegative integer cutoff")
-    if len(amps) != (cutoff + 1) ** m:
+    # (cutoff+1)^m > len(amps) once m passes its bit length; skip the big power
+    if (cutoff > 0 and m > len(amps).bit_length()) or len(amps) != (cutoff + 1) ** m:
         raise ValueError("fock payload length must equal (cutoff+1)^m")
     return CipherText(repr_tag="fock", m=m, cutoff=cutoff,
                       payload=FockVector(cutoff=cutoff, modes=m, amps=amps))
@@ -149,8 +197,7 @@ def ciphertext_from_json(text: str) -> CipherText:
 
 def _gate_to_json(gate) -> str:
     if isinstance(gate, Interferometer):
-        rows = ",".join(_pairs(row) for row in gate.u)
-        return f'{{"kind":"interferometer","matrix":[{rows}]}}'
+        return f'{{"kind":"interferometer","matrix":{_pairs(gate.u)}}}'
     terms = ",".join(
         '{"exps":[' + ",".join(str(e) for e in exps) + f'],"g":{wire_float(g)}}}'
         for exps, g in gate.terms.items())
@@ -173,7 +220,7 @@ def _gate_from_obj(obj, index: int):
             raise ValueError(f"{where}: matrix must be a list of rows")
         try:
             u = np.array([[complex(re, im) for re, im in row] for row in matrix])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{where}: malformed matrix entry: {exc}") from None
         return Interferometer(u)
     if kind == "nonlinear":
@@ -184,13 +231,16 @@ def _gate_from_obj(obj, index: int):
         for t in terms:
             if not isinstance(t, dict) or "exps" not in t or "g" not in t:
                 raise ValueError(f'{where}: each term needs "exps" and "g"')
-            parsed[tuple(int(e) for e in t["exps"])] = float(t["g"])
-        return NonlinearPhaseSpec(terms=parsed, t=float(obj.get("t", 1.0)))
+            exps = t["exps"]
+            if not isinstance(exps, list) or not all(_is_int(e) for e in exps):
+                raise ValueError(f"{where}: exps must be a list of integers")
+            parsed[tuple(exps)] = _wire_real(t["g"], f"{where}: coupling g")
+        return NonlinearPhaseSpec(terms=parsed, t=_wire_real(obj.get("t", 1.0), f"{where}: t"))
     raise ValueError(f"{where}: unknown kind {kind!r}")
 
 
 def circuit_from_json(text: str) -> CircuitDescription:
-    obj = json.loads(text)
+    obj = _load(text)
     if not isinstance(obj, dict) or obj.get("type") != "circuit":
         raise ValueError('expected an object with "type": "circuit"')
     gates = obj.get("gates")
@@ -319,13 +369,14 @@ class Transcript:
                 ciphertext_to_json(self.returned)]
 
     def to_jsonl(self) -> str:
+        sent, circuit, returned = self.wire_messages()
         lines = [
             f'{{"type":"params","m":{self.m},"d":{self.d},'
             f'"alpha":[{wire_float(self.alpha.real)},{wire_float(self.alpha.imag)}],"seed":{self.seed}}}',
             f'{{"type":"key","holder":"client","k":{self.key.k},"d":{self.key.d}}}',
-            f'{{"type":"message","direction":"client->evaluator","body":{ciphertext_to_json(self.sent)}}}',
-            f'{{"type":"message","direction":"client->evaluator","body":{circuit_to_json(self.circuit)}}}',
-            f'{{"type":"message","direction":"evaluator->client","body":{ciphertext_to_json(self.returned)}}}',
+            f'{{"type":"message","direction":"client->evaluator","body":{sent}}}',
+            f'{{"type":"message","direction":"client->evaluator","body":{circuit}}}',
+            f'{{"type":"message","direction":"evaluator->client","body":{returned}}}',
             f'{{"type":"decrypt_ops","phase_rotations":{self.decrypt_ops["phase_rotations"]},'
             f'"decode_decisions":{self.decrypt_ops["decode_decisions"]}}}',
             f'{{"type":"correctness","metric":"{self.correctness["metric"]}",'
@@ -335,7 +386,7 @@ class Transcript:
         y = "null" if self.y is None else f'"{self.y.to_text()}"'
         ref = "null" if self.y_reference is None else f'"{self.y_reference.to_text()}"'
         match = "true" if (self.y is not None and self.y == self.y_reference) else "false"
-        flags = ",".join(f'"{f}"' for f in self.flags)
+        flags = ",".join(json.dumps(f) for f in self.flags)
         lines.append(f'{{"type":"output","y":{y},"reference":{ref},"match":{match},'
                      f'"flags":[{flags}]}}')
         return "\n".join(lines) + "\n"

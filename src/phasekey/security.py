@@ -59,6 +59,8 @@ class SecurityParams:
             raise ValueError("m must be at least 1")
         if self.d < 1:
             raise ValueError("d must be at least 1")
+        if not math.isfinite(self.abs_alpha):
+            raise ValueError("|alpha| must be finite")
         if self.abs_alpha < 0:
             raise ValueError("|alpha| must be nonnegative")
         if not 0 <= self.w <= self.m:

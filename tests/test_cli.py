@@ -96,6 +96,20 @@ class TestExitCodes:
         assert "argument --m:" in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["security-sweep", "--quantity", "enc_distance", "--m", "2", "--w", "1",
+         "--energy-rule", "fixed", "--E", "-1"],
+        ["security-sweep", "--quantity", "enc_distance", "--m", "2", "--w", "1",
+         "--energy-rule", "fixed", "--E", "nan"],
+        ["mutinfo", "--m", "2", "--E", "nan"],
+        ["mutinfo", "--m", "2", "--E", "inf"],
+    ])
+    def test_bad_energy_names_E(self, args, tmp_path, capsys):
+        rc = run_cli(args + ["--out", str(tmp_path / "out.csv")])
+        assert rc == 1
+        assert "argument --E:" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_energy_rule_is_usage(self, capsys):
         rc = run_cli(["mutinfo", "--m", "2", "--energy-rule", "m**2"])
         assert rc == 1

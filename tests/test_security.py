@@ -41,6 +41,12 @@ class TestSecurityParams:
         with pytest.raises(ValueError):
             params(2, 0, 1.0, 1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_a_value_error(self, alpha):
+        # not CapacityError: the CLI would report exit 3, capacity exceeded
+        with pytest.raises(ValueError, match="finite"):
+            params(2, 5, alpha, 1)
+
 
 class TestRank2Eigenvalues:
     def test_identical_states(self):
