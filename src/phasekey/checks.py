@@ -84,10 +84,10 @@ def _check_class_sums() -> CheckResult:
     return CheckResult("residue-class-sums-vs-enumeration", dev, 1e-10)
 
 
-def _check_encrypted_dense(ms=(1, 2), alphas=(0.3, 0.7, 1.0)) -> CheckResult:
+def _check_encrypted_dense() -> CheckResult:
     dev = 0.0
-    for m in ms:
-        for alpha in alphas:
+    for m in (1, 2):
+        for alpha in (0.3, 0.7, 1.0):
             n_max = truncation_bound(m * alpha ** 2)
             for d in (2, 3, 5):
                 for w in range(m + 1):

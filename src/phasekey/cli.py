@@ -87,14 +87,22 @@ def parse_mode_count(text: str) -> int:
     return values[0]
 
 
-def parse_energy(text: str) -> float:
-    """A total energy: a finite float, at least 0."""
+def parse_finite_float(text: str) -> float:
+    """A float that is neither NaN nor infinite."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"energy must be finite and nonnegative: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def parse_energy(text: str) -> float:
+    """A total energy: a finite float, at least 0."""
+    value = parse_finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"energy must be nonnegative: {text!r}")
     return value
 
 
@@ -279,9 +287,9 @@ def build_parser() -> _Parser:
                        help="key-space size (default 100)")
     sweep.add_argument("--w", type=parse_int_list, default=[1],
                        help="flipped-bit counts, e.g. 1 or 1-10 (default 1)")
-    sweep.add_argument("--alpha-min", type=float, default=0.0)
-    sweep.add_argument("--alpha-max", type=float, default=2.0)
-    sweep.add_argument("--alpha-step", type=float, default=0.02)
+    sweep.add_argument("--alpha-min", type=parse_finite_float, default=0.0)
+    sweep.add_argument("--alpha-max", type=parse_finite_float, default=2.0)
+    sweep.add_argument("--alpha-step", type=parse_finite_float, default=0.02)
     sweep.add_argument("--energy-rule", default=None,
                        help='"fixed" (use --E) or "m^R"; omit to sweep alpha')
     sweep.add_argument("--E", type=parse_energy, default=1.0,
@@ -333,7 +341,7 @@ def build_parser() -> _Parser:
     demo.add_argument("--m", type=parse_mode_count, default=1, help="mode count (default 1)")
     demo.add_argument("--d", type=int, default=100,
                       help="key-space size (default 100)")
-    demo.add_argument("--alpha", type=float, default=1.0,
+    demo.add_argument("--alpha", type=parse_finite_float, default=1.0,
                       help="codeword amplitude (default 1.0)")
     demo.add_argument("--x", default=None,
                       help="plaintext bits, e.g. 0110 (default: seeded random)")

@@ -153,8 +153,8 @@ def codeword_fock(x: BitString, alpha: complex, n_max: int) -> FockVector:
     return coherent_fock(encode(x, alpha).amps, n_max)
 
 
-def encryption_channel_density(x: BitString, alpha: complex, d: int, n_max: int,
-                               memory_cap: int = DENSE_CHANNEL_CAP) -> DensityOperator:
+def encryption_channel_density(x: BitString, alpha: complex, d: int,
+                               n_max: int) -> DensityOperator:
     """Key-averaged encrypted state (1/d) sum_k R_k |psi_x><psi_x| R_k^dag.
 
     R_k rotates every mode by theta_k = 2 pi k / d.  The sum over k is
@@ -163,9 +163,9 @@ def encryption_channel_density(x: BitString, alpha: complex, d: int, n_max: int,
     if d < 1:
         raise ValueError("key space size d must be at least 1")
     m = len(x)
-    if m * (n_max + 1) ** m > memory_cap:
+    if m * (n_max + 1) ** m > DENSE_CHANNEL_CAP:
         raise CapacityError(
-            f"dense channel average at m={m}, n_max={n_max} exceeds the cap {memory_cap}")
+            f"dense channel average at m={m}, n_max={n_max} exceeds the cap {DENSE_CHANNEL_CAP}")
     psi = codeword_fock(x, alpha, n_max)
     t = total_photon_numbers(n_max, m)
     rho = np.zeros((len(psi.amps), len(psi.amps)), dtype=complex)

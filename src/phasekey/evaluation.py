@@ -37,8 +37,12 @@ class Interferometer:
         object.__setattr__(self, "u", u)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("interferometer matrix must be square")
+        # every entry of a unitary lies in the unit disc; the check also keeps
+        # NaN, infinite and huge entries out of the product below
+        if not np.abs(u).max() <= 1.0 + UNITARITY_TOL:
+            raise ValueError("matrix is not unitary: an entry is non-finite or above 1 in modulus")
         defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-        if not defect <= UNITARITY_TOL:  # also catches a NaN defect
+        if defect > UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: max |u^dag u - 1| = {defect:.3e}")
 
     @property
@@ -120,10 +124,7 @@ def nonlinear_phase_evolve(spec: NonlinearPhaseSpec, psi: FockVector) -> FockVec
     for exps, g in spec.terms.items():
         term = np.full(len(psi.amps), g)
         for mode, e in enumerate(exps):
-            if e == 1:
-                term *= occ[:, mode]
-            elif e > 1:
-                term *= occ[:, mode] ** e
+            term *= occ[:, mode] ** e
         phi += term
     return FockVector(cutoff=psi.cutoff, modes=psi.modes,
                       amps=psi.amps * np.exp(-1j * spec.t * phi))
@@ -152,38 +153,6 @@ def _evolve_hermitian(hb: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """exp(-i hb) @ vec for Hermitian hb, by one eigensolve."""
     ev, w = np.linalg.eigh(hb)
     return w @ (np.exp(-1j * ev) * (w.conj().T @ vec))
-
-
-def beamsplitter_fock(theta_bs: float, psi: FockVector) -> FockVector:
-    """Two-mode rotation exp(theta (a^dag b - a b^dag)) in the number basis.
-
-    Total photon number is conserved, so the rotation factors into one
-    real antisymmetric generator per total n, exponentiated as
-    exp(-i (i theta G)) by a Hermitian eigensolve.  Blocks clipped by the
-    per-mode cutoff are rotated within the kept occupations, which
-    preserves the norm but is only approximate for amplitudes at the
-    cutoff edge.  The generator is built here independently of
-    interferometer_fock, so each serves as a reference for the other.
-    """
-    if psi.modes != 2:
-        raise ValueError("beamsplitter acts on exactly two modes")
-    n_max = psi.cutoff
-    amps = psi.amps.copy()
-    for n in range(2 * n_max + 1):
-        j_lo = max(0, n - n_max)
-        j_hi = min(n, n_max)
-        js = np.arange(j_lo, j_hi + 1)
-        if len(js) < 2:
-            continue
-        gen = np.zeros((len(js), len(js)))
-        for p, j in enumerate(js[:-1]):
-            # <j+1, n-j-1| a^dag b |j, n-j> = sqrt((j+1)(n-j))
-            g = math.sqrt((j + 1) * (n - j))
-            gen[p + 1, p] = g
-            gen[p, p + 1] = -g
-        idx = js * (n_max + 1) + (n - js)
-        amps[idx] = _evolve_hermitian(1j * theta_bs * gen, amps[idx])
-    return FockVector(cutoff=n_max, modes=2, amps=amps)
 
 
 def _mode_generator(u: Interferometer) -> np.ndarray:
@@ -257,9 +226,12 @@ def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
 
     Lifts u = exp(-i h) (h from _mode_generator) to the quadratic
     Hamiltonian H = sum_jk h_jk a_j^dag a_k and applies exp(-i H_n) to
-    each fixed-total-photon block, one Hermitian eigensolve per block.  As
-    in beamsplitter_fock, blocks clipped by the cutoff stay unitary but
-    only approximate the untruncated action near the edge.
+    each fixed-total-photon block, one Hermitian eigensolve per block.  It
+    is the one number-basis interferometer, for every m and every unitary;
+    a two-mode beamsplitter exp(theta (a^dag b - a b^dag)) is the matrix
+    [[cos theta, sin theta], [-sin theta, cos theta]].  Blocks clipped by
+    the per-mode cutoff stay unitary but only approximate the untruncated
+    action near the edge.
     """
     m = psi.modes
     if u.modes != m:

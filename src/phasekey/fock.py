@@ -96,16 +96,12 @@ def occupation_array(n_max: int, modes: int) -> np.ndarray:
     package.
     """
     grids = np.indices((n_max + 1,) * modes)
-    return grids.reshape(modes, -1).T
+    return grids.reshape(modes, (n_max + 1) ** modes).T
 
 
 def total_photon_numbers(n_max: int, modes: int) -> np.ndarray:
     """Total photon number of each occupation tuple, in index order."""
-    t = np.zeros(1, dtype=np.int64)
-    step = np.arange(n_max + 1, dtype=np.int64)
-    for _ in range(modes):
-        t = (t[:, None] + step[None, :]).reshape(-1)
-    return t
+    return occupation_array(n_max, modes).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

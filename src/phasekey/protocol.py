@@ -12,8 +12,9 @@ printed at 17 significant digits, so byte-identical transcripts are
 reproducible and diffable.  Each payload or matrix is formatted in one
 pass, a single %-format over all its floats, with the bytes that
 formatting float by float gives.  The parsers raise ValueError on
-malformed messages, non-finite or out-of-range numbers included, and on
-booleans or non-integers where an integer belongs.
+malformed messages, non-finite or out-of-range numbers included, on
+booleans where any number belongs, and on non-integers where an integer
+belongs.
 """
 
 from __future__ import annotations
@@ -162,6 +163,24 @@ def _wire_real(x, what: str) -> float:
     return float(x)
 
 
+def _wire_complexes(pairs, what: str) -> list:
+    """complex(re, im) for each JSON [re, im] pair, or ValueError.
+
+    complex() would take true/false as 1/0, so a pair holding a bool is
+    dropped from the list and the length check rejects it; other
+    non-numbers raise TypeError and ints beyond the float range
+    OverflowError.
+    """
+    try:
+        z = [complex(re, im) for re, im in pairs
+             if type(re) is not bool and type(im) is not bool]
+        if len(z) != len(pairs):
+            raise TypeError("true and false are not numbers")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} entry: {exc}") from None
+    return z
+
+
 def ciphertext_from_json(text: str) -> CipherText:
     obj = _load(text)
     if not isinstance(obj, dict) or obj.get("type") != "ciphertext":
@@ -175,10 +194,7 @@ def ciphertext_from_json(text: str) -> CipherText:
         raise ValueError("ciphertext field m must be a positive integer")
     if not isinstance(payload, list):
         raise ValueError("ciphertext payload must be a list of [re, im] pairs")
-    try:
-        amps = np.array([complex(re, im) for re, im in payload])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed payload entry: {exc}") from None
+    amps = np.array(_wire_complexes(payload, "malformed payload"))
     if not np.isfinite(amps).all():
         raise ValueError("ciphertext payload entries must be finite")
     if tag == "amplitude":
@@ -218,11 +234,11 @@ def _gate_from_obj(obj, index: int):
         matrix = obj.get("matrix")
         if not isinstance(matrix, list):
             raise ValueError(f"{where}: matrix must be a list of rows")
-        try:
-            u = np.array([[complex(re, im) for re, im in row] for row in matrix])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{where}: malformed matrix entry: {exc}") from None
-        return Interferometer(u)
+        what = f"{where}: malformed matrix"
+        rows = [_wire_complexes(row, what) for row in matrix]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError(f"{where}: matrix must be square")
+        return Interferometer(np.array(rows))
     if kind == "nonlinear":
         terms = obj.get("terms")
         if not isinstance(terms, list) or not terms:

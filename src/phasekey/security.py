@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BitString, codeword_fock
+from .encoding import EMPTY_BLOCK_FLOOR, BitString, codeword_fock
 from .fock import (
     coherent_fock,
     density_from_fock,
@@ -131,8 +131,6 @@ def ak_limit(params: SecurityParams, k: int) -> float:
     """Block overlap for an unbounded key space: ((m - 2w)/m)^k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 1.0
     return ((params.m - 2 * params.w) / params.m) ** k
 
 
@@ -145,7 +143,7 @@ def qk_ak_finite(params: SecurityParams, k: int):
     if not 0 <= k < params.d:
         raise ValueError("k must satisfy 0 <= k < d")
     q, s = _class_sums(params)
-    if q[k] < 1e-300:
+    if q[k] < EMPTY_BLOCK_FLOOR:
         return 0.0, 1.0
     a = s[k] / q[k]
     return float(q[k]), float(min(1.0, max(-1.0, a)))
@@ -170,7 +168,7 @@ def qk_ak_enumeration(params: SecurityParams, n_max: int):
     np.add.at(q, residues, weight2)
     np.add.at(s, residues, signs * weight2)
     a = np.ones(d)
-    present = q >= 1e-300
+    present = q >= EMPTY_BLOCK_FLOOR
     a[present] = s[present] / q[present]
     q[~present] = 0.0
     return q, a
@@ -182,7 +180,7 @@ def encrypted_trace_distance(params: SecurityParams) -> float:
     Sums q_k sqrt(1 - A_k^2) over the residue-class blocks at finite d.
     """
     q, s = _class_sums(params)
-    present = q >= 1e-300
+    present = q >= EMPTY_BLOCK_FLOOR
     a = np.minimum(1.0, np.maximum(-1.0, s[present] / q[present]))
     blocks = q[present] * np.sqrt(np.maximum(0.0, 1.0 - a * a))
     return _sum_in_order(blocks)

@@ -110,6 +110,21 @@ class TestExitCodes:
         assert "argument --E:" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("flag, command", [
+        ("--alpha-min", ["security-sweep", "--quantity", "enc_distance"]),
+        ("--alpha-max", ["security-sweep", "--quantity", "enc_distance"]),
+        ("--alpha-step", ["security-sweep", "--quantity", "enc_distance"]),
+        ("--alpha", ["protocol-demo"]),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_flag_is_named(self, flag, command, value, tmp_path, capsys):
+        rc = run_cli(command + [flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}: not a finite number" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_energy_rule_is_usage(self, capsys):
         rc = run_cli(["mutinfo", "--m", "2", "--energy-rule", "m**2"])
         assert rc == 1

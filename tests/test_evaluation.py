@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from phasekey.evaluation import (
     Interferometer,
     NonlinearPhaseSpec,
     apply_interferometer,
-    beamsplitter_fock,
     cat_state_target,
     haar_random_unitary,
     interferometer_fock,
@@ -67,6 +67,12 @@ def _reference_interferometer_fock(u, psi):
     return _expm_per_block(-1j * big_h, psi)
 
 
+def _rotation(theta):
+    """Mode matrix of the beamsplitter exp(theta (a^dag b - a b^dag))."""
+    return Interferometer(np.array([[math.cos(theta), math.sin(theta)],
+                                    [-math.sin(theta), math.cos(theta)]]))
+
+
 def _with_eigenvalues(seed, eigenvalues):
     """Unitary with the given eigenvalues on a Haar-random eigenbasis."""
     v = haar_random_unitary(len(eigenvalues), seed).u
@@ -99,6 +105,14 @@ class TestInterferometer:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             Interferometer(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(0, math.inf), 1e200],
+                             ids=["inf", "-inf", "imag-inf", "1e200"])
+    def test_rejects_unbounded_entry_without_warnings(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not unitary"):
+                Interferometer(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_haar_unitarity(self):
         u = haar_random_unitary(4, 3)
@@ -233,16 +247,18 @@ class TestKerrCat:
 
 
 class TestBeamsplitterFock:
+    """exp(theta (a^dag b - a b^dag)) as interferometer_fock of _rotation(theta)."""
+
     def test_zero_angle_is_identity(self):
         psi = coherent_fock([0.5, -0.3], 5)
-        np.testing.assert_array_equal(beamsplitter_fock(0.0, psi).amps, psi.amps)
+        np.testing.assert_array_equal(interferometer_fock(_rotation(0.0), psi).amps, psi.amps)
 
     def test_single_photon_block_against_expm(self):
         n_max = 3
         amps = np.zeros((n_max + 1) ** 2, dtype=complex)
         amps[1 * (n_max + 1) + 0] = 1.0
         psi = FockVector(cutoff=n_max, modes=2, amps=amps)
-        got = beamsplitter_fock(math.pi / 4, psi)
+        got = interferometer_fock(_rotation(math.pi / 4), psi)
         # oracle: the n = 1 sector generator is [[0, -1], [1, 0]] in the
         # ordered basis (|0,1>, |1,0>)
         block = expm(math.pi / 4 * np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -255,13 +271,13 @@ class TestBeamsplitterFock:
         psi = _random_fock(np.random.default_rng(15), n_max, 2)
         a, b = _truncated_lowering(n_max, 2)
         want = _expm_per_block(math.pi / 4 * (a.T @ b - a @ b.T), psi)
-        np.testing.assert_allclose(beamsplitter_fock(math.pi / 4, psi).amps, want,
+        np.testing.assert_allclose(interferometer_fock(_rotation(math.pi / 4), psi).amps, want,
                                    rtol=0, atol=1e-12)
 
     def test_total_photon_distribution_invariant(self):
         rng = np.random.default_rng(8)
         psi = _random_fock(rng, 5, 2)
-        evolved = beamsplitter_fock(1.1, psi)
+        evolved = interferometer_fock(_rotation(1.1), psi)
         t = total_photon_numbers(5, 2)
         for n in range(11):
             before = float(np.sum(np.abs(psi.amps[t == n]) ** 2))
@@ -274,7 +290,7 @@ class TestBeamsplitterFock:
         theta = 0.37
         beta, gamma = 0.6, -0.8
         n_max = truncation_bound(1.0, 1e-12) + 8
-        evolved = beamsplitter_fock(theta, coherent_fock([beta, gamma], n_max))
+        evolved = interferometer_fock(_rotation(theta), coherent_fock([beta, gamma], n_max))
         rot = np.array([[math.cos(theta), math.sin(theta)],
                         [-math.sin(theta), math.cos(theta)]])
         target = coherent_fock(rot @ np.array([beta, gamma]), n_max)
@@ -283,23 +299,22 @@ class TestBeamsplitterFock:
     def test_norm_preserved(self):
         rng = np.random.default_rng(9)
         psi = _random_fock(rng, 6, 2)
-        assert beamsplitter_fock(0.8, psi).squared_norm() == pytest.approx(1.0, abs=1e-12)
+        assert interferometer_fock(_rotation(0.8), psi).squared_norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_mode_count_guard(self):
         with pytest.raises(ValueError):
-            beamsplitter_fock(0.5, coherent_fock([1.0], 4))
+            interferometer_fock(_rotation(0.5), coherent_fock([1.0], 4))
 
 
 class TestInterferometerFock:
     def test_matches_beamsplitter_for_rotations(self):
         theta = 0.61
-        rot = Interferometer(np.array([[math.cos(theta), math.sin(theta)],
-                                       [-math.sin(theta), math.cos(theta)]]))
         rng = np.random.default_rng(10)
         psi = _random_fock(rng, 5, 2)
-        via_lift = interferometer_fock(rot, psi)
-        via_blocks = beamsplitter_fock(theta, psi)
-        np.testing.assert_allclose(via_lift.amps, via_blocks.amps, atol=1e-10)
+        via_lift = interferometer_fock(_rotation(theta), psi)
+        a, b = _truncated_lowering(5, 2)
+        via_blocks = _expm_per_block(theta * (a.T @ b - a @ b.T), psi)
+        np.testing.assert_allclose(via_lift.amps, via_blocks, atol=1e-10)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_coherent_amplitude_map(self, m):
@@ -362,6 +377,6 @@ class TestFockLevelCommutation:
         for _ in range(5):
             psi = _random_fock(rng, 4, 2)
             theta = float(rng.uniform(0, 2 * math.pi))
-            left = beamsplitter_fock(0.75, phase_rotate_fock(psi, theta))
-            right = phase_rotate_fock(beamsplitter_fock(0.75, psi), theta)
+            left = interferometer_fock(_rotation(0.75), phase_rotate_fock(psi, theta))
+            right = phase_rotate_fock(interferometer_fock(_rotation(0.75), psi), theta)
             assert np.abs(left.amps - right.amps).max() <= 1e-10

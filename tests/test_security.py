@@ -86,6 +86,10 @@ class TestLimitBlocks:
     def test_ak_linear_case(self):
         assert ak_limit(params(10, 100, 1.0, 1), 1) == pytest.approx(0.8, abs=1e-15)
 
+    @pytest.mark.parametrize("m, w", [(10, 1), (4, 2), (4, 4)])  # r = 0.8, 0, -1
+    def test_ak_at_zero_is_one(self, m, w):
+        assert ak_limit(params(m, 100, 1.0, w), 0) == 1.0
+
     def test_ak_balanced_string(self):
         for k in (1, 2, 5):
             assert ak_limit(params(2, 5, 1.0, 1), k) == 0.0

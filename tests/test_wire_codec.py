@@ -179,6 +179,29 @@ class TestParserRejects:
             ciphertext_from_json(_ciphertext([[1, 0]], m=10 ** 7, repr_tag="fock", cutoff=2))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("pair", [[True, False], [False, True], [0.0, False]])
+    def test_boolean_payload_entry(self, pair):
+        with pytest.raises(ValueError, match="malformed payload entry"):
+            ciphertext_from_json(_ciphertext([pair]))
+        with pytest.raises(ValueError, match="malformed payload entry"):
+            ciphertext_from_json(_ciphertext([[1, 0], pair], repr_tag="fock", cutoff=1))
+
+    @pytest.mark.parametrize("pair", [[True, False], [False, True]])
+    def test_boolean_matrix_entry(self, pair):
+        # without the check both matrices read as unitary: [[1]] or [[1j]], and the identity
+        for matrix in ([[pair]], [[[1, 0], [0, 0]], [[0, 0], pair]]):
+            text = json.dumps({"type": "circuit", "gates": [
+                {"kind": "interferometer", "matrix": matrix}]})
+            with pytest.raises(ValueError, match="circuit gate 0: malformed matrix entry"):
+                circuit_from_json(text)
+
+    @pytest.mark.parametrize("matrix", [[[[1, 0], [0, 0]], [[0, 0]]], [[]]])
+    def test_ragged_matrix_names_the_gate(self, matrix):
+        text = json.dumps({"type": "circuit", "gates": [
+            {"kind": "interferometer", "matrix": matrix}]})
+        with pytest.raises(ValueError, match="circuit gate 0: matrix must be square"):
+            circuit_from_json(text)
+
     def test_deep_nesting_is_value_error(self):
         with pytest.raises(ValueError):
             ciphertext_from_json("[" * 100000 + "]" * 100000)
