@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_CAPACITY = 3
+ALPHA_GRID_CAP = 10 ** 6
 
 
 class _UsageError(Exception):
@@ -124,7 +125,10 @@ def alpha_grid(lo: float, hi: float, step: float) -> list:
         raise _UsageError("--alpha-step must be positive")
     if hi < lo:
         raise _UsageError("--alpha-max must not be below --alpha-min")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    if not span < ALPHA_GRID_CAP:
+        raise _UsageError(f"--alpha-step gives more than {ALPHA_GRID_CAP} alpha points")
+    count = int(math.floor(span)) + 1
     return [lo + i * step for i in range(count)]
 
 

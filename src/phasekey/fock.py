@@ -27,12 +27,16 @@ def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
 
     Computed by the recurrence b_{n+1} = b_n * alpha / sqrt(n+1), which
     stays finite where the factorial form would overflow past n ~ 170.
+    Raises CapacityError where the start e^{-|alpha|^2/2} underflows to 0
+    (|alpha|^2 above ~1490), which would give an all-zero state.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     alpha = complex(alpha)
     b = np.empty(n_max + 1, dtype=complex)
     b[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    if b[0] == 0.0:
+        raise CapacityError(f"e^(-|alpha|^2/2) underflows to 0 at |alpha| = {abs(alpha):g}")
     for n in range(n_max):
         b[n + 1] = b[n] * alpha / math.sqrt(n + 1)
     return b
@@ -83,9 +87,13 @@ def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_
     codewords); the total photon number of a multimode coherent state is
     Poisson(E), so a joint cutoff at n_max discards less than eps of the
     state's mass.  This is the last index of poisson_terms(E, eps), with
-    its ValueError and CapacityError cases.
+    its ValueError and CapacityError cases, and a CapacityError where the
+    start e^{-E} underflows to 0 (E above ~745), which would give cutoff 0.
     """
-    return len(poisson_terms(abs_alpha_sq_total, eps, hard_cap)) - 1
+    terms = poisson_terms(abs_alpha_sq_total, eps, hard_cap)
+    if terms[0] == 0.0:
+        raise CapacityError(f"e^-E underflows to 0 at energy {abs_alpha_sq_total:g}")
+    return len(terms) - 1
 
 
 def occupation_array(n_max: int, modes: int) -> np.ndarray:

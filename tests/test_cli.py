@@ -140,6 +140,21 @@ class TestExitCodes:
         assert rc == 3
         assert "capacity" in capsys.readouterr().err
 
+    def test_underflowing_amplitude_is_three(self, tmp_path, capsys):
+        rc = run_cli(["protocol-demo", "--m", "1", "--alpha", "40", "--circuit", "kerr-cat",
+                      "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 3
+        assert "capacity exceeded: e^-E underflows" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("alpha_max, step", [("1e308", "1e-300"), ("1", "1e-9")])
+    def test_oversized_alpha_grid_names_step(self, alpha_max, step, tmp_path, capsys):
+        rc = run_cli(["security-sweep", "--quantity", "enc_distance", "--alpha-max", alpha_max,
+                      "--alpha-step", step, "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        assert "--alpha-step gives more than" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_failed_check_is_two(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "run_checks",

@@ -52,6 +52,12 @@ class TestCoherentCoefficients:
         with pytest.raises(ValueError):
             coherent_coefficients(1.0, -1)
 
+    @pytest.mark.parametrize("alpha", [40.0, -55j])
+    def test_underflowing_start_raises(self, alpha):
+        # e^{-|alpha|^2/2} is 0 here: the state would be all zeros
+        with pytest.raises(CapacityError, match="underflows"):
+            coherent_coefficients(alpha, 3)
+
 
 class TestTruncationBound:
     def test_zero_energy(self):
@@ -81,6 +87,12 @@ class TestTruncationBound:
     def test_hard_cap(self):
         with pytest.raises(CapacityError):
             truncation_bound(6000.0, 1e-12)
+
+    @pytest.mark.parametrize("E", [746.0, 800.0, 1600.0])
+    def test_underflowing_start_raises(self, E):
+        # e^{-E} is 0 here, which would give cutoff 0
+        with pytest.raises(CapacityError, match="underflows"):
+            truncation_bound(E)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):

@@ -221,6 +221,13 @@ class TestRunProtocol:
         assert tr.correctness["value"] >= 1 - 1e-8
         assert tr.correct
 
+    def test_amplitude_audit_scales_with_alpha(self):
+        # the rotation's rounding grows with |alpha|; 1e-12 alone fails here
+        tr = run_protocol(BitString((1,)), 1e200, 100, CircuitDescription(gates=()), seed=0)
+        assert tr.correctness["value"] > 1e-12
+        assert tr.correct
+        assert tr.y == tr.y_reference
+
     def test_trivial_key_space_is_flagged(self):
         tr = run_protocol(BitString((1,)), 1.0, 1, CircuitDescription(gates=()), seed=0)
         assert "no security: trivial key space" in tr.flags
