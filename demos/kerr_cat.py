@@ -33,7 +33,7 @@ print(f"state correctness vs plaintext evaluation: {tr.correctness['metric']} "
       f"{tr.correctness['value']:.12f} (pass = {tr.correct})")
 print()
 
-plain = client_decrypt(tr.returned, tr.key).payload
+plain = client_decrypt(tr.returned, tr.key)
 target = cat_state_target(ALPHA, plain.cutoff)
 fid = abs(overlap(target, plain)) ** 2
 print(f"fidelity of the decrypted state with the balanced cat: {fid:.12f}")

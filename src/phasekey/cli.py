@@ -115,9 +115,17 @@ def parse_energy_rule(text: str):
         try:
             r = float(text[2:])
         except ValueError:
-            raise _UsageError(f"bad exponent in energy rule {text!r}") from None
-        return lambda m: float(m) ** r
-    raise _UsageError(f"unknown energy rule {text!r} (expected \"fixed\" or \"m^R\")")
+            raise _UsageError(f"bad exponent in --energy-rule {text!r}") from None
+        if not math.isfinite(r):
+            raise _UsageError(f"--energy-rule {text!r} needs a finite exponent")
+
+        def rule(m):
+            try:
+                return float(m) ** r
+            except OverflowError:
+                raise _UsageError(f"--energy-rule {text!r} overflows at m = {m}") from None
+        return rule
+    raise _UsageError(f"unknown --energy-rule {text!r} (expected \"fixed\" or \"m^R\")")
 
 
 def alpha_grid(lo: float, hi: float, step: float) -> list:
@@ -226,8 +234,8 @@ def _resolve_circuit(spec: str, m: int) -> CircuitDescription:
 
 def _cat_fidelity(tr) -> float:
     plain = client_decrypt(tr.returned, tr.key)
-    target = cat_state_target(tr.alpha, plain.payload.cutoff)
-    a, b = plain.payload.amps, target.amps
+    target = cat_state_target(tr.alpha, plain.cutoff)
+    a, b = plain.amps, target.amps
     fid = float(abs(np.vdot(a, b)) ** 2
                 / (np.vdot(a, a).real * np.vdot(b, b).real))
     return min(fid, 1.0)

@@ -112,6 +112,14 @@ def total_photon_numbers(n_max: int, modes: int) -> np.ndarray:
     return occupation_array(n_max, modes).sum(axis=1)
 
 
+def sector_sizes(n_max: int, modes: int) -> np.ndarray:
+    """Occupation tuples per total 0..modes*n_max, the coefficients of (1+x+...+x^n_max)^modes."""
+    sizes = np.ones(1, dtype=np.int64)
+    for _ in range(modes):
+        sizes = np.convolve(sizes, np.ones(n_max + 1, dtype=np.int64))
+    return sizes
+
+
 @dataclass(frozen=True, eq=False)
 class FockVector:
     """A pure state on `modes` optical modes, truncated at photon cap `cutoff`.

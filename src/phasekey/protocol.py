@@ -2,10 +2,11 @@
 
 The client encodes a bit string on coherent amplitudes, rotates every
 mode by the secret key angle, and ships the ciphertext together with a
-circuit description.  The evaluator applies the circuit without the key,
-staying at amplitude level until the first nonlinear gate forces the
-number-basis representation.  Decryption is the inverse rotation followed
-by a per-mode decision, so its cost never depends on the circuit.
+circuit description.  The ciphertext is the encrypted state itself: an
+AmplitudeVector, or a FockVector, capped by FOCK_SIZE_CAP, once a
+nonlinear gate forces the number basis.  The evaluator applies the
+circuit without the key.  Decryption is the inverse rotation followed by
+a per-mode decision, so its cost never depends on the circuit.
 
 Wire formats are single-line JSON with a fixed field order and floats
 printed at 17 significant digits, so byte-identical transcripts are
@@ -42,11 +43,13 @@ from .evaluation import (
     interferometer_fock,
     nonlinear_phase_evolve,
 )
-from .fock import CapacityError, FockVector, coherent_coefficients, coherent_fock, truncation_bound
+from .fock import (CapacityError, FockVector, coherent_coefficients, coherent_fock,
+                   sector_sizes, truncation_bound)
 
-# Nonlinear gates need the full number basis; beyond this many modes the
-# (n_max+1)^m amplitudes are not materialized.
-FOCK_MODE_CAP = 3
+# Largest number-basis grid the evaluator lifts to or accepts, in entries
+# sum_n d_n^2 of its fixed-total blocks (d_n occupations of total n): they
+# set interferometer_fock's work and are at least the (n_max+1)^m amplitudes.
+FOCK_SIZE_CAP = 2 ** 22
 
 # Fock-level decode declares a mode undecodable when it overlaps neither
 # candidate amplitude beyond this.
@@ -77,32 +80,8 @@ class CircuitDescription:
         return len(self.gates)
 
 
-@dataclass(frozen=True, eq=False)
-class CipherText:
-    """The wire object: representation tag, payload, and shape metadata.
-
-    Deliberately carries neither d nor the key; only the mode count and,
-    for the number-basis representation, the cutoff.
-    """
-
-    repr_tag: str
-    payload: object
-    m: int
-    cutoff: "int | None" = None
-
-    def __post_init__(self):
-        if self.repr_tag == "amplitude":
-            if not isinstance(self.payload, AmplitudeVector) or self.cutoff is not None:
-                raise ValueError("amplitude ciphertext needs an AmplitudeVector and no cutoff")
-            if self.payload.modes != self.m:
-                raise ValueError("mode count metadata disagrees with the payload")
-        elif self.repr_tag == "fock":
-            if not isinstance(self.payload, FockVector) or self.cutoff is None:
-                raise ValueError("fock ciphertext needs a FockVector and a cutoff")
-            if self.payload.modes != self.m or self.payload.cutoff != self.cutoff:
-                raise ValueError("shape metadata disagrees with the payload")
-        else:
-            raise ValueError(f"unknown representation tag {self.repr_tag!r}")
+# The wire object: the encrypted state, carrying neither d nor the key.
+CipherText = AmplitudeVector | FockVector
 
 
 def wire_float(x: float) -> str:
@@ -129,10 +108,10 @@ def _pairs(values) -> str:
 
 
 def ciphertext_to_json(ct: CipherText) -> str:
-    body = f'{{"type":"ciphertext","repr":"{ct.repr_tag}","m":{ct.m},"payload":{_pairs(ct.payload.amps)}'
-    if ct.repr_tag == "fock":
-        body += f',"cutoff":{ct.cutoff}'
-    return body + "}"
+    if isinstance(ct, AmplitudeVector):
+        return f'{{"type":"ciphertext","repr":"amplitude","m":{ct.modes},"payload":{_pairs(ct.amps)}}}'
+    return (f'{{"type":"ciphertext","repr":"fock","m":{ct.modes},"payload":{_pairs(ct.amps)}'
+            f',"cutoff":{ct.cutoff}}}')
 
 
 def _wire_int(text: str):
@@ -182,6 +161,7 @@ def _wire_complexes(pairs, what: str) -> list:
 
 
 def ciphertext_from_json(text: str) -> CipherText:
+    """The state a ciphertext message carries; evaluator_apply caps its size."""
     obj = _load(text)
     if not isinstance(obj, dict) or obj.get("type") != "ciphertext":
         raise ValueError('expected an object with "type": "ciphertext"')
@@ -200,15 +180,14 @@ def ciphertext_from_json(text: str) -> CipherText:
     if tag == "amplitude":
         if len(amps) != m:
             raise ValueError("amplitude payload length must equal m")
-        return CipherText(repr_tag="amplitude", payload=AmplitudeVector(amps), m=m)
+        return AmplitudeVector(amps)
     cutoff = obj.get("cutoff")
     if not _is_int(cutoff) or cutoff < 0:
         raise ValueError("fock ciphertext needs a nonnegative integer cutoff")
     # (cutoff+1)^m > len(amps) once m passes its bit length; skip the big power
     if (cutoff > 0 and m > len(amps).bit_length()) or len(amps) != (cutoff + 1) ** m:
         raise ValueError("fock payload length must equal (cutoff+1)^m")
-    return CipherText(repr_tag="fock", m=m, cutoff=cutoff,
-                      payload=FockVector(cutoff=cutoff, modes=m, amps=amps))
+    return FockVector(cutoff=cutoff, modes=m, amps=amps)
 
 
 def _gate_to_json(gate) -> str:
@@ -267,8 +246,18 @@ def circuit_from_json(text: str) -> CircuitDescription:
 
 def client_encrypt(x: BitString, alpha: complex, key: PhaseKey) -> CipherText:
     """Encode x on coherent amplitudes and rotate every mode by the key angle."""
-    rotated = phase_rotate(encode(x, alpha), key.theta)
-    return CipherText(repr_tag="amplitude", payload=rotated, m=len(x))
+    return phase_rotate(encode(x, alpha), key.theta)
+
+
+def _check_fock_size(n_max: int, m: int) -> None:
+    """CapacityError when the (n_max+1)^m grid has over FOCK_SIZE_CAP block entries."""
+    # entries >= amplitudes >= 2^m > cap past its bit length: no huge power
+    size = (n_max + 1) ** min(m, FOCK_SIZE_CAP.bit_length())
+    if n_max and size <= FOCK_SIZE_CAP:
+        size = int(np.sum(sector_sizes(n_max, m) ** 2))
+    if size > FOCK_SIZE_CAP:
+        raise CapacityError(f"the number basis on {n_max + 1}^{m} occupations exceeds "
+                            f"the cap of {FOCK_SIZE_CAP} block entries")
 
 
 def evaluator_apply(circuit: CircuitDescription, ct: CipherText,
@@ -276,54 +265,35 @@ def evaluator_apply(circuit: CircuitDescription, ct: CipherText,
     """Run the circuit on a ciphertext, never seeing the key.
 
     Interferometers act on coherent amplitudes directly; the first
-    nonlinear gate expands the state into the number basis (mode count
-    capped at FOCK_MODE_CAP) with a cutoff from the ciphertext's total
-    energy unless n_max is given.
+    nonlinear gate expands the state into the number basis with a cutoff
+    from the ciphertext's total energy unless n_max is given.  A
+    number-basis state received or lifted to beyond FOCK_SIZE_CAP raises
+    CapacityError before anything is allocated for it.
     """
-    tag = ct.repr_tag
-    state = ct.payload
+    state = ct
+    if isinstance(state, FockVector):
+        _check_fock_size(state.cutoff, state.modes)
     for gate in circuit.gates:
-        if gate.modes != ct.m:
+        if gate.modes != state.modes:
             raise ValueError("gate size must match the ciphertext mode count")
         if isinstance(gate, Interferometer):
-            if tag == "amplitude":
-                state = apply_interferometer(gate, state)
-            else:
-                state = interferometer_fock(gate, state)
+            state = (apply_interferometer if isinstance(state, AmplitudeVector)
+                     else interferometer_fock)(gate, state)
         else:
-            if tag == "amplitude":
-                if ct.m > FOCK_MODE_CAP:
-                    raise CapacityError(
-                        f"nonlinear gates are limited to {FOCK_MODE_CAP} modes, got {ct.m}")
+            if isinstance(state, AmplitudeVector):
                 if n_max is None:
                     n_max = truncation_bound(state.total_energy())
+                _check_fock_size(n_max, state.modes)
                 state = coherent_fock(state.amps, n_max)
-                tag = "fock"
             state = nonlinear_phase_evolve(gate, state)
-    if tag == "amplitude":
-        return CipherText(repr_tag="amplitude", payload=state, m=ct.m)
-    return CipherText(repr_tag="fock", payload=state, m=ct.m, cutoff=state.cutoff)
+    return state
 
 
 def client_decrypt(ct: CipherText, key: PhaseKey) -> CipherText:
-    """Undo the key rotation on every mode, keeping the representation.
-
-    The decrypted state itself, before any decoding: amplitude
-    ciphertexts give the plaintext amplitudes, number-basis ones the
-    plaintext Fock state.
-    """
-    if ct.repr_tag == "amplitude":
-        return CipherText(repr_tag="amplitude", m=ct.m,
-                          payload=phase_rotate(ct.payload, -key.theta))
-    return CipherText(repr_tag="fock", m=ct.m, cutoff=ct.cutoff,
-                      payload=phase_rotate_fock(ct.payload, -key.theta))
-
-
-def _decode_amplitude(v: AmplitudeVector, alpha: complex) -> BitString:
-    bits = []
-    for out in v.amps:
-        bits.append(0 if abs(out - alpha) <= abs(out + alpha) else 1)
-    return BitString(tuple(bits))
+    """The plaintext state: the key rotation undone on every mode, nothing decoded."""
+    if isinstance(ct, AmplitudeVector):
+        return phase_rotate(ct, -key.theta)
+    return phase_rotate_fock(ct, -key.theta)
 
 
 def _decode_fock(psi: FockVector, alpha: complex) -> BitString:
@@ -342,6 +312,15 @@ def _decode_fock(psi: FockVector, alpha: complex) -> BitString:
     return BitString(tuple(bits))
 
 
+def _decode(plain: CipherText, alpha: complex) -> BitString:
+    """One bit per mode of a plaintext state, by the rules of client_decrypt_decode."""
+    if alpha == 0:
+        raise UndecodableError("the code is degenerate at alpha = 0")
+    if isinstance(plain, AmplitudeVector):
+        return BitString(tuple(0 if abs(a - alpha) <= abs(a + alpha) else 1 for a in plain.amps))
+    return _decode_fock(plain, alpha)
+
+
 def client_decrypt_decode(ct: CipherText, key: PhaseKey, alpha: complex) -> BitString:
     """Undo the key rotation and read one bit per mode.
 
@@ -349,12 +328,7 @@ def client_decrypt_decode(ct: CipherText, key: PhaseKey, alpha: complex) -> BitS
     modes by the larger overlap magnitude with |+-alpha>.  The work is m
     rotations and m decisions however long the evaluated circuit was.
     """
-    if alpha == 0:
-        raise UndecodableError("the code is degenerate at alpha = 0")
-    plain = client_decrypt(ct, key)
-    if plain.repr_tag == "amplitude":
-        return _decode_amplitude(plain.payload, alpha)
-    return _decode_fock(plain.payload, alpha)
+    return _decode(client_decrypt(ct, key), alpha)
 
 
 @dataclass
@@ -427,33 +401,31 @@ def run_protocol(x: BitString, alpha: complex, d: int, circuit: CircuitDescripti
         flags.append("degenerate code: alpha = 0")
 
     n_max = None
-    if circuit.has_nonlinear() and m <= FOCK_MODE_CAP:
-        # one shared cutoff keeps the encrypted and reference paths comparable
-        n_max = truncation_bound(m * abs(alpha) ** 2)
+    if circuit.has_nonlinear():
+        try:
+            # one shared cutoff keeps the encrypted and reference paths comparable
+            n_max = truncation_bound(m * abs(alpha) ** 2)
+        except OverflowError:
+            raise CapacityError(f"m|alpha|^2 overflows at |alpha| = {abs(alpha):g}") from None
 
     sent = client_encrypt(x, alpha, key)
     returned = evaluator_apply(circuit, sent, n_max=n_max)
     decrypted = client_decrypt(returned, key)
+    reference = evaluator_apply(circuit, encode(x, alpha), n_max=n_max)
 
-    reference = evaluator_apply(
-        circuit, CipherText(repr_tag="amplitude", payload=encode(x, alpha), m=m),
-        n_max=n_max)
-
-    if decrypted.repr_tag == "amplitude":
-        diff = float(np.abs(decrypted.payload.amps - reference.payload.amps).max())
+    if isinstance(decrypted, AmplitudeVector):
+        diff = float(np.abs(decrypted.amps - reference.amps).max())
         # rounding in the key rotation scales with the amplitudes
         correctness = {"metric": "amplitude", "value": diff,
                        "pass": diff <= 1e-12 * max(1.0, abs(alpha))}
     else:
-        a = decrypted.payload.amps
-        b = reference.payload.amps
+        a, b = decrypted.amps, reference.amps
         fid = float(abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
         correctness = {"metric": "overlap", "value": fid, "pass": fid >= 1 - 1e-8}
 
-    trivial_key = PhaseKey(k=0, d=1)
     try:
         y = client_decrypt_decode(returned, key, alpha)
-        y_reference = client_decrypt_decode(reference, trivial_key, alpha)
+        y_reference = _decode(reference, alpha)
     except UndecodableError as exc:
         y = None
         y_reference = None

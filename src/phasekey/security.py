@@ -59,8 +59,13 @@ class SecurityParams:
             raise ValueError("m must be at least 1")
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if not math.isfinite(self.abs_alpha):
-            raise ValueError("|alpha| must be finite")
+        try:
+            E = self.E
+        except OverflowError:  # the float power raises past |alpha| ~ 1.3e154
+            E = math.inf
+        if not math.isfinite(E):
+            raise ValueError(f"|alpha| must be finite with m|alpha|^2 a finite double, "
+                             f"got |alpha| = {self.abs_alpha!r}")
         if self.abs_alpha < 0:
             raise ValueError("|alpha| must be nonnegative")
         if not 0 <= self.w <= self.m:

@@ -147,6 +147,50 @@ class TestExitCodes:
         assert "capacity exceeded: e^-E underflows" in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
 
+    def test_three_mode_kerr_over_the_size_cap_is_three(self, tmp_path, capsys):
+        # |alpha|^2 = 3 per mode gives n_max 34, a 35^3 grid
+        circuit = tmp_path / "kerr3.json"
+        circuit.write_text(
+            '{"type":"circuit","gates":[{"kind":"nonlinear",'
+            '"terms":[{"exps":[2,0,0],"g":1.0}],"t":0.5},'
+            '{"kind":"interferometer","matrix":[[[0,0],[1,0],[0,0]],[[1,0],[0,0],[0,0]],'
+            '[[0,0],[0,0],[1,0]]]}]}')
+        rc = run_cli(["protocol-demo", "--m", "3", "--alpha", str(math.sqrt(3)),
+                      "--circuit", str(circuit), "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 3
+        assert "capacity exceeded: the number basis on 35^3" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_overflowing_alpha_in_protocol_demo_is_three(self, tmp_path, capsys):
+        rc = run_cli(["protocol-demo", "--m", "1", "--alpha", "1e200", "--circuit", "kerr-cat",
+                      "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "capacity exceeded" in err and "Traceback" not in err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("quantity", ["enc_distance", "unenc_distance"])
+    def test_overflowing_alpha_in_security_sweep_is_usage(self, quantity, tmp_path, capsys):
+        rc = run_cli(["security-sweep", "--quantity", quantity, "--m", "2",
+                      "--alpha-min", "1e200", "--alpha-max", "1e200", "--alpha-step", "1",
+                      "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "m|alpha|^2 a finite double" in err and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["mutinfo", "--m", "2-20"],
+        ["security-sweep", "--quantity", "ratio", "--m", "12", "--w", "1"],
+    ])
+    @pytest.mark.parametrize("rule", ["m^400", "m^inf", "m^nan"])
+    def test_overflowing_energy_rule_is_named(self, command, rule, tmp_path, capsys):
+        rc = run_cli(command + ["--energy-rule", rule, "--out", str(tmp_path / "out.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--energy-rule '{rule}'" in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("alpha_max, step", [("1e308", "1e-300"), ("1", "1e-9")])
     def test_oversized_alpha_grid_names_step(self, alpha_max, step, tmp_path, capsys):
         rc = run_cli(["security-sweep", "--quantity", "enc_distance", "--alpha-max", alpha_max,

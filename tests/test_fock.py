@@ -15,6 +15,7 @@ from phasekey.fock import (
     density_from_fock,
     occupation_array,
     overlap,
+    sector_sizes,
     total_photon_numbers,
     trace_distance_numeric,
     truncation_bound,
@@ -107,6 +108,11 @@ class TestIndexing:
     def test_totals_match_tuples(self):
         occ = occupation_array(3, 2)
         np.testing.assert_array_equal(total_photon_numbers(3, 2), occ.sum(axis=1))
+
+    @pytest.mark.parametrize("n_max, modes", [(0, 5), (3, 1), (1, 4), (4, 3)])
+    def test_sector_sizes_count_the_totals(self, n_max, modes):
+        np.testing.assert_array_equal(sector_sizes(n_max, modes),
+                                      np.bincount(total_photon_numbers(n_max, modes)))
 
     def test_kron_consistency(self):
         a, b = 0.7, -0.4 + 0.2j

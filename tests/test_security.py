@@ -41,7 +41,8 @@ class TestSecurityParams:
         with pytest.raises(ValueError):
             params(2, 0, 1.0, 1)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    # 1e200 overflows the float power in E, 1e154 the product m|alpha|^2
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 1e200, 1e154])
     def test_non_finite_alpha_is_a_value_error(self, alpha):
         # not CapacityError: the CLI would report exit 3, capacity exceeded
         with pytest.raises(ValueError, match="finite"):

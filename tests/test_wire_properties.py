@@ -30,13 +30,12 @@ def ciphertexts(draw):
     if draw(st.booleans()):
         m = draw(st.integers(1, 12))
         amps = draw(st.lists(complexes, min_size=m, max_size=m))
-        return CipherText(repr_tag="amplitude", m=m, payload=AmplitudeVector(np.array(amps)))
+        return AmplitudeVector(np.array(amps))
     m = draw(st.integers(1, 2))
     cutoff = draw(st.integers(0, 4))
     n = (cutoff + 1) ** m
     amps = draw(st.lists(complexes, min_size=n, max_size=n))
-    return CipherText(repr_tag="fock", m=m, cutoff=cutoff,
-                      payload=FockVector(cutoff=cutoff, modes=m, amps=np.array(amps)))
+    return FockVector(cutoff=cutoff, modes=m, amps=np.array(amps))
 
 
 @st.composite
@@ -115,9 +114,8 @@ def _mutations(valid: dict, keys):
                     min_size=1, max_size=3).map(mutate)
 
 
-VALID_CT = json.loads(ciphertext_to_json(CipherText(
-    repr_tag="fock", m=1, cutoff=1, payload=FockVector(cutoff=1, modes=1,
-                                                      amps=np.array([0.6, 0.8j])))))
+VALID_CT = json.loads(ciphertext_to_json(FockVector(cutoff=1, modes=1,
+                                                   amps=np.array([0.6, 0.8j]))))
 VALID_CIRCUIT = json.loads(circuit_to_json(CircuitDescription((
     NonlinearPhaseSpec(terms={(2,): 1.0, (1,): -0.5}, t=0.3),
     haar_random_unitary(1, 0)))))
