@@ -17,6 +17,10 @@ import numpy as np
 DEFAULT_TRUNCATION_EPS = 1e-10
 HARD_CUTOFF_CAP = 4096
 
+# Most that dropping the off-sector part of an operator may move half its
+# trace norm in a sector-wise eigensolve.
+SECTOR_LEAK_TOL = 1e-12
+
 
 class CapacityError(Exception):
     """A requested computation exceeds the configured size caps."""
@@ -162,9 +166,17 @@ def overlap(u: FockVector, v: FockVector) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian operator on the truncated Fock space, stored dense."""
+    """Hermitian operator on the truncated Fock space, stored dense.
+
+    sectors holds one integer label per basis state (default all zeros,
+    one sector).  Eigensolves treat the operator as block diagonal over
+    equal labels and check that what lies outside those blocks is
+    negligible (see SECTOR_LEAK_TOL), so a label states structure the
+    entries are verified to have, never an assumption.
+    """
 
     entries: np.ndarray
+    sectors: np.ndarray | None = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
@@ -173,6 +185,12 @@ class DensityOperator:
             raise ValueError("entries must be a square matrix")
         if np.abs(entries - entries.conj().T).max() > 1e-12:
             raise ValueError("entries are not Hermitian within 1e-12")
+        sectors = (np.zeros(len(entries), dtype=np.int64) if self.sectors is None
+                   else np.asarray(self.sectors))
+        if sectors.shape != (len(entries),) or sectors.dtype.kind not in "iu":
+            raise ValueError(f"sectors must be {len(entries)} integer labels, "
+                             f"got shape {sectors.shape} of {sectors.dtype}")
+        object.__setattr__(self, "sectors", sectors)
 
     @property
     def dim(self) -> int:
@@ -183,9 +201,33 @@ class DensityOperator:
         tr = np.trace(self.entries).real
         if abs(tr - expected_trace) > 1e-9:
             raise ValueError(f"trace {tr!r} differs from {expected_trace!r} by more than 1e-9")
-        lo = np.linalg.eigvalsh(self.entries).min()
+        lo = _sector_eigvalsh(self.entries, self.sectors).min()
         if lo < -1e-10:
             raise ValueError(f"negative eigenvalue {lo!r} below the -1e-10 floor")
+
+
+def _sector_eigvalsh(mat: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the diagonal blocks of Hermitian mat over equal sector labels.
+
+    Raises ValueError unless the dropped off-block part E of mat obeys
+    (1/2) sqrt(dim) ||E||_F <= SECTOR_LEAK_TOL.  Since ||E||_1 <=
+    sqrt(dim) ||E||_F, half the summed |eigenvalues| is then within
+    SECTOR_LEAK_TOL of the full eigensolve's, and (Weyl) every eigenvalue
+    moves by at most ||E||_2 <= ||E||_F.
+    """
+    lams = []
+    leak = 0.0
+    order = np.argsort(sectors, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
+        rows = mat[idx]
+        lams.append(np.linalg.eigvalsh(rows[:, idx]))
+        rows[:, idx] = 0.0
+        leak += float(np.vdot(rows, rows).real)
+    bound = 0.5 * math.sqrt(len(mat) * leak)
+    if not bound <= SECTOR_LEAK_TOL:  # a NaN leak fails too
+        raise ValueError(f"operator is not block diagonal over its sectors: off-sector "
+                         f"part moves the trace norm by up to {bound:.3e} > {SECTOR_LEAK_TOL:g}")
+    return np.concatenate(lams)
 
 
 def density_from_fock(psi: FockVector) -> DensityOperator:
@@ -194,12 +236,18 @@ def density_from_fock(psi: FockVector) -> DensityOperator:
 
 
 def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Trace distance (1/2)||rho - sigma||_1 by Hermitian eigensolve.
+    """Trace distance (1/2)||rho - sigma||_1 by Hermitian eigensolves, one per sector.
 
-    eigvalsh is deterministic for identical input bits, which keeps
-    regression values stable.
+    When rho and sigma carry equal sector labels, each sector's diagonal
+    block of rho - sigma is eigensolved on its own and |eigenvalues| are
+    summed over the blocks; otherwise the whole difference is one sector.
+    The off-sector part is checked, not assumed, to move the result by at
+    most SECTOR_LEAK_TOL (ValueError beyond).  eigvalsh is deterministic
+    for identical input bits, which keeps regression values stable.
     """
     if rho.dim != sigma.dim:
         raise ValueError("trace distance requires equal dimensions")
-    lam = np.linalg.eigvalsh(rho.entries - sigma.entries)
+    sectors = (rho.sectors if np.array_equal(rho.sectors, sigma.sectors)
+               else np.zeros(rho.dim, dtype=np.int64))
+    lam = _sector_eigvalsh(rho.entries - sigma.entries, sectors)
     return 0.5 * float(np.abs(lam).sum())

@@ -234,28 +234,31 @@ def encrypted_distance_oracle(u: BitString, v: BitString, alpha: float, d: int,
     """Brute-force trace distance between the key-averaged states of u and v.
 
     The difference of the two channel outputs is supported on the span of
-    the 2d rotated codewords, so the Hermitian difference is eigensolved
-    inside an orthonormal basis of that span.  This is exact for the
-    truncated operators while never materializing the dense matrix, which
-    keeps three-mode oracle runs cheap.
+    the 2d rotated codewords C = [R_k psi_u, R_k psi_v]_k.  With C = QR,
+    the columns of R are those codewords in the orthonormal basis Q, so the
+    Hermitian difference is assembled from R alone and eigensolved there;
+    Q itself is never formed.  The rotation phases e^{-i theta_k t} are
+    computed once per total photon number t and looked up.  This is exact
+    for the truncated operators while never materializing the dense
+    matrix, which keeps three-mode oracle runs cheap.
     """
     if len(u) != len(v):
         raise ValueError("bit strings must have equal length")
     m = len(u)
     t = total_photon_numbers(n_max, m)
+    totals = np.arange(t.max() + 1)
     psi_u = codeword_fock(u, alpha, n_max).amps
     psi_v = codeword_fock(v, alpha, n_max).amps
     cols = np.empty((len(psi_u), 2 * d), dtype=complex)
     for k in range(d):
-        phase = np.exp(-2j * math.pi * k / d * t)
+        phase = np.exp(-2j * math.pi * k / d * totals)[t]
         cols[:, 2 * k] = phase * psi_u
         cols[:, 2 * k + 1] = phase * psi_v
-    basis, _ = np.linalg.qr(cols)
-    proj = basis.conj().T @ cols
-    delta = np.zeros((proj.shape[0], proj.shape[0]), dtype=complex)
+    r = np.linalg.qr(cols, mode="r")
+    delta = np.zeros((r.shape[0], r.shape[0]), dtype=complex)
     for k in range(d):
-        gu = proj[:, 2 * k]
-        gv = proj[:, 2 * k + 1]
+        gu = r[:, 2 * k]
+        gv = r[:, 2 * k + 1]
         delta += np.outer(gu, gu.conj()) - np.outer(gv, gv.conj())
     delta /= d
     delta = 0.5 * (delta + delta.conj().T)
@@ -281,7 +284,8 @@ def pgm_closed_form(abs_alpha: float, modes: int = 1) -> PgmResult:
     a_pm = (1 pm e^{-2|alpha|^2})/2 are the eigenvalues of the equal
     mixture; the PGM identifies the state with probability
     (sqrt(a_+) + sqrt(a_-))^2 / 2, and the per-mode information is
-    u^2 log2 u + v^2 log2 v with u, v = sqrt(a_+) pm sqrt(a_-).
+    u^2 log2 u + v^2 log2 v with u, v = sqrt(a_+) pm sqrt(a_-), capped at
+    the one bit a mode carries.
     """
     B = math.exp(-2.0 * abs_alpha ** 2)
     a_plus = 0.5 * (1.0 + B)
@@ -293,6 +297,9 @@ def pgm_closed_form(abs_alpha: float, modes: int = 1) -> PgmResult:
     i_single = u * u * math.log2(u)
     if v > 0.0:
         i_single += v * v * math.log2(v)
+    # rounding lifts the sum to 1 + 4e-16 once the states are orthogonal to
+    # double precision (|alpha| >~ 5)
+    i_single = min(i_single, 1.0)
     return PgmResult(a_plus=a_plus, a_minus=a_minus, p_same=p_same, p_diff=p_diff,
                      i_single=i_single, i_total=modes * i_single)
 

@@ -326,6 +326,16 @@ class TestMutinfo:
                 for line in out.read_text().splitlines()[1:]]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_information_never_exceeds_the_message_bits(self, tmp_path):
+        # at |alpha| = sqrt(m) >~ 5 the codeword states are orthogonal to
+        # double precision, where rounding once gave i_total above m
+        out = tmp_path / "mi.csv"
+        assert run_cli(["mutinfo", "--m", "2-20", "--energy-rule", "m^2",
+                        "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 19
+        assert all(float(i_s) <= int(m_s) for m_s, _, _, i_s in rows)
+
     def test_d_flag_accepted_without_effect(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["mutinfo", "--m", "3", "--d", "2", "--out", str(a)])

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from phasekey.encoding import BitString, encryption_channel_density
 from phasekey.fock import (
+    SECTOR_LEAK_TOL,
     CapacityError,
     DensityOperator,
     FockVector,
@@ -221,3 +223,94 @@ class TestDensityOperator:
         rho = DensityOperator(0.5 * np.eye(3))
         with pytest.raises(ValueError):
             rho.validate(expected_trace=1.0)
+
+
+# --- sector-wise eigensolve ---------------------------------------------------
+
+def _full_eigvalsh_distance(rho, sigma):
+    """Reference: one eigensolve of the whole difference, labels ignored."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho.entries - sigma.entries)).sum())
+
+
+def _channel_pair(m, alpha, d, w):
+    n_max = truncation_bound(m * alpha ** 2)
+    u = BitString((0,) * m)
+    v = BitString(tuple([1] * w + [0] * (m - w)))
+    return (encryption_channel_density(u, alpha, d, n_max),
+            encryption_channel_density(v, alpha, d, n_max))
+
+
+# the dense-oracle shapes of checks._check_encrypted_dense, then those of
+# test_security.TestDistanceOracle (3375 states at m = 3)
+DENSE_ORACLE_SHAPES = [(m, alpha, d, w)
+                       for m in (1, 2) for alpha in (0.3, 0.7, 1.0) for d in (2, 3, 5)
+                       for w in range(m + 1)]
+DENSE_ORACLE_SHAPES += [(1, 0.7, 3, 1), (2, 1.0, 5, 1), (2, 1.0, 5, 2), (3, 0.7, 4, 2)]
+
+
+class TestSectorEigensolve:
+    @pytest.mark.parametrize("m,alpha,d,w", DENSE_ORACLE_SHAPES)
+    def test_labelled_distance_equals_full_eigensolve(self, m, alpha, d, w):
+        rho, sigma = _channel_pair(m, alpha, d, w)
+        t = total_photon_numbers(truncation_bound(m * alpha ** 2), m)
+        np.testing.assert_array_equal(rho.sectors, t % d)
+        np.testing.assert_array_equal(sigma.sectors, t % d)
+        got = trace_distance_numeric(rho, sigma)
+        assert abs(got - _full_eigvalsh_distance(rho, sigma)) <= 1e-12
+
+    def test_labels_cutting_a_coupled_difference_are_refused(self):
+        # two coherent states couple every total photon number with every other
+        n_max = truncation_bound(1.0, 1e-12)
+        parity = total_photon_numbers(n_max, 1) % 2
+        rho = DensityOperator(density_from_fock(coherent_fock([1.0], n_max)).entries,
+                              sectors=parity)
+        sigma = DensityOperator(density_from_fock(coherent_fock([-1.0], n_max)).entries,
+                                sectors=parity)
+        with pytest.raises(ValueError, match="not block diagonal"):
+            trace_distance_numeric(rho, sigma)
+        with pytest.raises(ValueError, match="not block diagonal"):
+            rho.validate()
+
+    def test_leak_just_above_the_bound_is_refused(self):
+        # E = [[0, eps], [eps, 0]] has (1/2) sqrt(2) ||E||_F = eps
+        eps = 2 * SECTOR_LEAK_TOL
+        rho = DensityOperator(np.array([[0.5, eps], [eps, 0.5]]), sectors=[0, 1])
+        sigma = DensityOperator(np.diag([0.5, 0.5]), sectors=[0, 1])
+        with pytest.raises(ValueError, match="not block diagonal"):
+            trace_distance_numeric(rho, sigma)
+        within = DensityOperator(np.array([[0.5, eps / 4], [eps / 4, 0.5]]), sectors=[0, 1])
+        assert trace_distance_numeric(within, sigma) == 0.0
+
+    @pytest.mark.parametrize("d_u,d_v", [(3, 2), (5, 1)])
+    def test_mismatched_labels_fall_back_to_one_sector(self, d_u, d_v):
+        n_max = truncation_bound(2 * 0.7 ** 2)
+        rho = encryption_channel_density(BitString((0, 0)), 0.7, d_u, n_max)
+        sigma = encryption_channel_density(BitString((1, 0)), 0.7, d_v, n_max)
+        assert not np.array_equal(rho.sectors, sigma.sectors)
+        # rho and sigma are block diagonal over different partitions, so
+        # neither partition may be used for both
+        got = trace_distance_numeric(rho, sigma)
+        assert abs(got - _full_eigvalsh_distance(rho, sigma)) <= 1e-12
+        pure = density_from_fock(coherent_fock([0.7, -0.7], n_max))
+        got = trace_distance_numeric(rho, pure)
+        assert abs(got - _full_eigvalsh_distance(rho, pure)) <= 1e-12
+
+    def test_validate_per_sector(self):
+        rho, _ = _channel_pair(2, 0.8, 5, 1)
+        rho.validate()
+        # a negative eigenvalue inside one sector is still found
+        bad = rho.entries.copy()
+        bad[0, 0] -= 1e-6
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityOperator(bad, sectors=rho.sectors).validate(
+                expected_trace=float(np.trace(bad).real))
+
+    def test_default_is_one_sector(self):
+        rho = DensityOperator(np.eye(3) / 3)
+        np.testing.assert_array_equal(rho.sectors, [0, 0, 0])
+
+    @pytest.mark.parametrize("sectors", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]], [0.0, 1.0, 2.0],
+                                         [True, False, True]])
+    def test_malformed_sectors_are_rejected(self, sectors):
+        with pytest.raises(ValueError, match="sectors must be 3 integer labels"):
+            DensityOperator(np.eye(3) / 3, sectors=sectors)

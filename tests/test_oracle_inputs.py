@@ -1,0 +1,101 @@
+"""The oracles' inputs agree with the straightforward constructions they replace.
+
+encryption_channel_density looks the rotation phases up by total photon
+number; its entries must equal, bit for bit, the channel sum built with
+one complex exponential per amplitude.  encrypted_distance_oracle takes
+the codewords' coordinates from the R factor of a QR decomposition; it
+must agree with the version that forms Q and projects the codewords onto
+it, within 1e-12.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from phasekey.encoding import BitString, codeword_fock, encryption_channel_density
+from phasekey.fock import total_photon_numbers, truncation_bound
+from phasekey.security import encrypted_distance_oracle
+
+
+# --- references ---------------------------------------------------------------
+
+def ref_channel_entries(x, alpha, d, n_max):
+    """The d-term channel sum with one exponential per amplitude."""
+    psi = codeword_fock(x, alpha, n_max)
+    t = total_photon_numbers(n_max, len(x))
+    rho = np.zeros((len(psi.amps), len(psi.amps)), dtype=complex)
+    for k in range(d):
+        rotated = np.exp(-2j * math.pi * k / d * t) * psi.amps
+        rho += np.outer(rotated, rotated.conj())
+    rho /= d
+    return 0.5 * (rho + rho.conj().T)
+
+
+def ref_distance_oracle(u, v, alpha, d, n_max):
+    """Support-basis oracle through the reduced Q: coordinates Q^H C."""
+    t = total_photon_numbers(n_max, len(u))
+    psi_u = codeword_fock(u, alpha, n_max).amps
+    psi_v = codeword_fock(v, alpha, n_max).amps
+    cols = np.empty((len(psi_u), 2 * d), dtype=complex)
+    for k in range(d):
+        phase = np.exp(-2j * math.pi * k / d * t)
+        cols[:, 2 * k] = phase * psi_u
+        cols[:, 2 * k + 1] = phase * psi_v
+    basis, _ = np.linalg.qr(cols)
+    proj = basis.conj().T @ cols
+    delta = np.zeros((proj.shape[0], proj.shape[0]), dtype=complex)
+    for k in range(d):
+        gu = proj[:, 2 * k]
+        gv = proj[:, 2 * k + 1]
+        delta += np.outer(gu, gu.conj()) - np.outer(gv, gv.conj())
+    delta /= d
+    delta = 0.5 * (delta + delta.conj().T)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(delta)).sum())
+
+
+def _pair(m, w):
+    return BitString((0,) * m), BitString(tuple([1] * w + [0] * (m - w)))
+
+
+# --- the dense channel --------------------------------------------------------
+
+# checks._check_encrypted_dense's grid, the oracle benchmark's dense shapes,
+# a three-mode point, and a key count above the largest total photon number
+CHANNEL_GRID = [(m, alpha, d, w)
+                for m in (1, 2) for alpha in (0.3, 0.7, 1.0) for d in (2, 3, 5)
+                for w in range(m + 1)]
+CHANNEL_GRID += [(1, 0.7, 7, 1), (2, 0.79, 5, 1), (3, 0.21, 3, 1), (3, 0.3, 4, 2),
+                 (1, 0.5, 40, 1)]
+
+
+@pytest.mark.parametrize("m,alpha,d,w", CHANNEL_GRID)
+def test_channel_entries_equal_per_amplitude_exponentials(m, alpha, d, w):
+    n_max = truncation_bound(m * alpha ** 2)
+    for x in _pair(m, w):
+        rho = encryption_channel_density(x, alpha, d, n_max)
+        ref = ref_channel_entries(x, alpha, d, n_max)
+        assert np.array_equal(rho.entries, ref)
+        np.testing.assert_array_equal(rho.sectors, total_photon_numbers(n_max, m) % d)
+
+
+# --- the support-basis oracle -------------------------------------------------
+
+# checks._check_encrypted_support_basis's grid
+SUPPORT_GRID = [(alpha, d, w) for alpha in (0.3, 0.7, 1.0, 1.5) for d in (2, 3, 5, 8)
+                for w in range(1, 4)]
+
+
+@pytest.mark.parametrize("alpha,d,w", SUPPORT_GRID)
+def test_support_oracle_from_r_matches_q_projection(alpha, d, w):
+    n_max = truncation_bound(3 * alpha ** 2)
+    u, v = _pair(3, w)
+    got = encrypted_distance_oracle(u, v, alpha, d, n_max)
+    assert abs(got - ref_distance_oracle(u, v, alpha, d, n_max)) <= 1e-12
+
+
+def test_support_oracle_with_fewer_states_than_codewords():
+    # 2d = 16 rotated codewords on an 8-state grid: R is 8 x 16, like Q^H C
+    u, v = _pair(3, 1)
+    got = encrypted_distance_oracle(u, v, 0.4, 8, 1)
+    assert abs(got - ref_distance_oracle(u, v, 0.4, 8, 1)) <= 1e-12

@@ -154,6 +154,14 @@ class TestEvaluatorApply:
         with pytest.raises(CapacityError, match="block entries"):
             evaluator_apply(CircuitDescription(gates=()), psi)
 
+    def test_overflowing_energy_is_a_capacity_error_without_warning(self):
+        # |alpha|^2 overflows a double; the pytest config turns a numpy
+        # RuntimeWarning into an error, so only the CapacityError may surface
+        ct = client_encrypt(BitString((0,)), 1e200, PhaseKey(k=0, d=2))
+        assert ct.total_energy() == math.inf
+        with pytest.raises(CapacityError):
+            evaluator_apply(KERR_CAT, ct)
+
     def test_gate_size_mismatch(self):
         ct = client_encrypt(BitString((0, 1)), 0.5, PhaseKey(k=0, d=2))
         with pytest.raises(ValueError):
