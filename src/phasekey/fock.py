@@ -166,7 +166,7 @@ def overlap(u: FockVector, v: FockVector) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian operator on the truncated Fock space, stored dense.
+    """Finite Hermitian operator on the truncated Fock space, stored dense.
 
     sectors holds one integer label per basis state (default all zeros,
     one sector).  Eigensolves treat the operator as block diagonal over
@@ -183,8 +183,11 @@ class DensityOperator:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if np.abs(entries - entries.conj().T).max() > 1e-12:
-            raise ValueError("entries are not Hermitian within 1e-12")
+        # a NaN or inf entry makes dev NaN or inf, which fails the check too
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = np.abs(entries - entries.conj().T).max()
+        if not dev <= 1e-12:
+            raise ValueError("entries are not finite and Hermitian within 1e-12")
         sectors = (np.zeros(len(entries), dtype=np.int64) if self.sectors is None
                    else np.asarray(self.sectors))
         if sectors.shape != (len(entries),) or sectors.dtype.kind not in "iu":

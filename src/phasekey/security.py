@@ -13,9 +13,13 @@ Closed forms evaluate in O(E + d) time via total-photon-number residue
 sums.  They take the Poisson(E) terms from fock.poisson_terms, the same
 terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
 add them in index order (np.bincount, np.cumsum); that fixed order is what
-keeps the sweep CSVs byte-identical.  Every closed form has a brute-force companion here (dense or
-support-basis density-matrix computation, tuple enumeration, numeric
-pretty-good measurement) so the formulas are never trusted on their own.
+keeps the sweep CSVs byte-identical.  Every closed form has a
+brute-force companion (the dense channel average of encoding with
+fock.trace_distance_numeric; here, the support-basis oracle, tuple
+enumeration and the numeric pretty-good measurement) so the formulas are
+never trusted on their own.  The support-basis oracle uses every grid
+amplitude but no series: it orthogonalizes the two codewords within each
+total-photon-number sector and eigensolves in their span.
 """
 
 from __future__ import annotations
@@ -234,35 +238,43 @@ def encrypted_distance_oracle(u: BitString, v: BitString, alpha: float, d: int,
     """Brute-force trace distance between the key-averaged states of u and v.
 
     The difference of the two channel outputs is supported on the span of
-    the 2d rotated codewords C = [R_k psi_u, R_k psi_v]_k.  With C = QR,
-    the columns of R are those codewords in the orthonormal basis Q, so the
-    Hermitian difference is assembled from R alone and eigensolved there;
-    Q itself is never formed.  The rotation phases e^{-i theta_k t} are
-    computed once per total photon number t and looked up.  This is exact
-    for the truncated operators while never materializing the dense
-    matrix, which keeps three-mode oracle runs cheap.
+    the 2d rotated codewords R_k psi = sum_t e^{-i theta_k t} psi|_t, where
+    psi|_t is psi restricted to total photon number t.  In sector t those
+    codewords span at most psi_u|_t and psi_v|_t, so one Gram-Schmidt step
+    per sector, over every grid amplitude and vectorized over t, gives an
+    orthonormal basis of at most 2(m n_max + 1) vectors and each sector's
+    2x2 triangle [[r11, r12], [0, r22]]; r22 is the norm of the residual
+    psi_v|_t - (r12 / r11) psi_u|_t itself, not a difference of squared
+    norms, which would cancel for (near-)parallel pairs.  The triangles
+    times the key phases are the rotated codewords' coordinates in that
+    basis.  The R factor of their QR holds the same codewords in a basis of
+    at most 2d vectors, where the Hermitian difference is assembled and
+    eigensolved; no basis vector is ever formed.  Exact for the truncated
+    operators, with no Poisson series, residue class or rank-2 formula.
     """
     if len(u) != len(v):
         raise ValueError("bit strings must have equal length")
-    m = len(u)
-    t = total_photon_numbers(n_max, m)
-    totals = np.arange(t.max() + 1)
-    psi_u = codeword_fock(u, alpha, n_max).amps
-    psi_v = codeword_fock(v, alpha, n_max).amps
-    cols = np.empty((len(psi_u), 2 * d), dtype=complex)
-    for k in range(d):
-        phase = np.exp(-2j * math.pi * k / d * totals)[t]
-        cols[:, 2 * k] = phase * psi_u
-        cols[:, 2 * k + 1] = phase * psi_v
-    r = np.linalg.qr(cols, mode="r")
-    delta = np.zeros((r.shape[0], r.shape[0]), dtype=complex)
-    for k in range(d):
-        gu = r[:, 2 * k]
-        gv = r[:, 2 * k + 1]
-        delta += np.outer(gu, gu.conj()) - np.outer(gv, gv.conj())
-    delta /= d
-    delta = 0.5 * (delta + delta.conj().T)
-    lam = np.linalg.eigvalsh(delta)
+    if d < 1:
+        raise ValueError("key space size d must be at least 1")
+    t = total_photon_numbers(n_max, len(u))
+    n_totals = len(u) * n_max + 1
+    a = codeword_fock(u, alpha, n_max).amps
+    b = codeword_fock(v, alpha, n_max).amps
+    aa = np.bincount(t, (a.conj() * a).real, n_totals)
+    a_b = a.conj() * b
+    ab = np.bincount(t, a_b.real, n_totals) + 1j * np.bincount(t, a_b.imag, n_totals)
+    # an empty sector (r11 = 0) gets r12 = 0, so r22 = ||psi_v|_t||, with no 0/0
+    coef = np.divide(ab, aa, out=np.zeros(n_totals, dtype=complex), where=aa > 0.0)
+    resid = b - coef[t] * a
+    r11 = np.sqrt(aa)
+    r12 = coef * r11
+    r22 = np.sqrt(np.bincount(t, (resid.conj() * resid).real, n_totals))
+    phase = np.exp(-2j * math.pi / d * np.outer(np.arange(n_totals), np.arange(d)))
+    coords = np.block([[r11[:, None] * phase, r12[:, None] * phase],
+                       [np.zeros((n_totals, d)), r22[:, None] * phase]])
+    r = np.linalg.qr(coords, mode="r")
+    gu, gv = r[:, :d], r[:, d:]
+    lam = np.linalg.eigvalsh((gu @ gu.conj().T - gv @ gv.conj().T) / d)
     return 0.5 * float(np.abs(lam).sum())
 
 

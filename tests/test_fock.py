@@ -215,6 +215,26 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             DensityOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries(self, bad, where):
+        # RuntimeWarnings are errors in this suite, so this also asserts
+        # that the check emits no numpy warning
+        entries = np.eye(2, dtype=complex)
+        entries[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(entries)
+
+    def test_nan_state_has_no_trace_distance(self):
+        # a NaN on the diagonal used to give distance 0.0, "perfectly hidden"
+        with pytest.raises(ValueError, match="finite"):
+            trace_distance_numeric(DensityOperator([[math.nan, 0.0], [0.0, 1.0]]),
+                                   DensityOperator(np.eye(2)))
+
+    def test_rejects_hermitian_difference_that_overflows(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
     def test_validate_contract(self):
         rho = density_from_fock(coherent_fock([0.6], truncation_bound(0.36)))
         rho.validate(expected_trace=rho.entries.trace().real)

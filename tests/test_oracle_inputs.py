@@ -2,10 +2,11 @@
 
 encryption_channel_density looks the rotation phases up by total photon
 number; its entries must equal, bit for bit, the channel sum built with
-one complex exponential per amplitude.  encrypted_distance_oracle takes
-the codewords' coordinates from the R factor of a QR decomposition; it
-must agree with the version that forms Q and projects the codewords onto
-it, within 1e-12.
+one complex exponential per amplitude.  encrypted_distance_oracle builds
+the codewords' coordinates one total-photon-number sector at a time and
+QRs only those; it must agree within 1e-12 with the grid-wide version
+that QRs all 2d rotated codewords on the whole grid, forms Q and projects
+the codewords onto it.
 """
 
 import math
@@ -81,21 +82,41 @@ def test_channel_entries_equal_per_amplitude_exponentials(m, alpha, d, w):
 
 # --- the support-basis oracle -------------------------------------------------
 
-# checks._check_encrypted_support_basis's grid
+# checks._check_encrypted_support_basis's grid, under its original test ids
 SUPPORT_GRID = [(alpha, d, w) for alpha in (0.3, 0.7, 1.0, 1.5) for d in (2, 3, 5, 8)
                 for w in range(1, 4)]
+SUPPORT_CASES = [pytest.param(3, alpha, d, w, truncation_bound(3 * alpha ** 2),
+                              id=f"{alpha}-{d}-{w}") for alpha, d, w in SUPPORT_GRID]
+# one and two modes; at w = 0 and w = m, psi_v|_t = (-1)^(w t) psi_u|_t is
+# parallel to psi_u|_t in every sector, so r22 vanishes
+SUPPORT_CASES += [pytest.param(m, alpha, d, w, truncation_bound(m * alpha ** 2),
+                               id=f"m{m}-{alpha}-{d}-{w}")
+                  for m in (1, 2) for alpha in (0.7, 1.5) for d in (3, 8) for w in range(m + 1)]
+# the oracle benchmark's support shapes at its 1e-12 cutoff (n_max 15, 18, 22)
+SUPPORT_CASES += [pytest.param(3, alpha, d, w, truncation_bound(3 * alpha ** 2, 1e-12),
+                               id=f"bench-{alpha}-{d}-{w}")
+                  for d, alpha in ((6, 0.61), (10, 0.8), (16, 1.0)) for w in range(1, 4)]
+# more keys than totals: 40 keys, 3 n_max + 1 = 16 totals
+SUPPORT_CASES += [pytest.param(3, 0.4, 40, w, truncation_bound(0.48), id=f"d40-{w}")
+                  for w in (1, 3)]
+# alpha = 0: every sector above t = 0 is empty
+SUPPORT_CASES += [pytest.param(m, 0.0, 5, m, 4, id=f"vacuum-m{m}") for m in (1, 3)]
 
 
-@pytest.mark.parametrize("alpha,d,w", SUPPORT_GRID)
-def test_support_oracle_from_r_matches_q_projection(alpha, d, w):
-    n_max = truncation_bound(3 * alpha ** 2)
-    u, v = _pair(3, w)
+@pytest.mark.parametrize("m,alpha,d,w,n_max", SUPPORT_CASES)
+def test_support_oracle_from_r_matches_q_projection(m, alpha, d, w, n_max):
+    u, v = _pair(m, w)
     got = encrypted_distance_oracle(u, v, alpha, d, n_max)
     assert abs(got - ref_distance_oracle(u, v, alpha, d, n_max)) <= 1e-12
 
 
-def test_support_oracle_with_fewer_states_than_codewords():
-    # 2d = 16 rotated codewords on an 8-state grid: R is 8 x 16, like Q^H C
-    u, v = _pair(3, 1)
-    got = encrypted_distance_oracle(u, v, 0.4, 8, 1)
-    assert abs(got - ref_distance_oracle(u, v, 0.4, 8, 1)) <= 1e-12
+@pytest.mark.parametrize("m,alpha,d,n_max", [
+    (3, 0.4, 8, 1),  # 2d = 16 rotated codewords on an 8-state grid
+    (1, 0.7, 2, 0),  # n_max = 0: one state, one sector
+    (3, 0.7, 5, 0),
+    (2, 1.0, 3, 1),
+])
+def test_support_oracle_with_fewer_states_than_codewords(m, alpha, d, n_max):
+    u, v = _pair(m, 1)
+    got = encrypted_distance_oracle(u, v, alpha, d, n_max)
+    assert abs(got - ref_distance_oracle(u, v, alpha, d, n_max)) <= 1e-12

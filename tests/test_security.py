@@ -235,6 +235,12 @@ class TestDistanceOracle:
         with pytest.raises(ValueError):
             encrypted_distance_oracle(BitString((0,)), BitString((0, 1)), 1.0, 2, 8)
 
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_rejects_key_space_below_one(self, d):
+        # d = 0 used to return 0.0, "perfectly hidden"
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            encrypted_distance_oracle(BitString((0, 0)), BitString((1, 0)), 0.7, d, 6)
+
 
 class TestUnencryptedDistance:
     def test_zero_weight(self):
