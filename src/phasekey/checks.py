@@ -120,10 +120,7 @@ def _check_block_reconstruction() -> CheckResult:
     alpha, m, d = 0.8, 2, 5
     n_max = truncation_bound(m * alpha ** 2, 1e-12)
     blocks, _ = block_decomposition(alpha, m, d, n_max)
-    dim = (n_max + 1) ** m
-    rebuilt = np.zeros((dim, dim), dtype=complex)
-    for b in blocks:
-        rebuilt += b.q_j * np.outer(b.gtilde.amps, b.gtilde.amps.conj())
+    rebuilt = sum(b.q_j * np.outer(b.gtilde.amps, b.gtilde.amps.conj()) for b in blocks)
     rho = encryption_channel_density(BitString((0, 0)), alpha, d, n_max)
     dev = float(np.abs(rebuilt - rho.entries).max())
     return CheckResult("block-reconstruction-vs-channel-average", dev, 1e-9)

@@ -10,7 +10,7 @@ number mod d; this module builds both the averaged state and its blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .fock import (
     DensityOperator,
     FockVector,
     coherent_fock,
+    grid_size,
     occupation_array,
     total_photon_numbers,
 )
@@ -122,8 +123,11 @@ class PartitionBlock:
 
 def encode(x: BitString, alpha: complex) -> AmplitudeVector:
     """Codeword amplitudes (-1)^{x_j} alpha."""
+    alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     signs = np.array([(-1.0) ** b for b in x.bits])
-    return AmplitudeVector(signs * complex(alpha))
+    return AmplitudeVector(signs * alpha)
 
 
 def keygen(d: int, seed) -> PhaseKey:
@@ -146,8 +150,7 @@ def phase_rotate(v: AmplitudeVector, theta: float) -> AmplitudeVector:
 def phase_rotate_fock(psi: FockVector, theta: float) -> FockVector:
     """Same rotation applied in the number basis: amplitudes pick up e^{-i theta t}."""
     t = total_photon_numbers(psi.cutoff, psi.modes)
-    return FockVector(cutoff=psi.cutoff, modes=psi.modes,
-                      amps=psi.amps * np.exp(-1j * theta * t))
+    return replace(psi, amps=psi.amps * np.exp(-1j * theta * t))
 
 
 def codeword_fock(x: BitString, alpha: complex, n_max: int) -> FockVector:
@@ -170,7 +173,7 @@ def encryption_channel_density(x: BitString, alpha: complex, d: int,
     if d < 1:
         raise ValueError("key space size d must be at least 1")
     m = len(x)
-    if m * (n_max + 1) ** m > DENSE_CHANNEL_CAP:
+    if m * grid_size(n_max, m, DENSE_CHANNEL_CAP) > DENSE_CHANNEL_CAP:
         raise CapacityError(
             f"dense channel average at m={m}, n_max={n_max} exceeds the cap {DENSE_CHANNEL_CAP}")
     psi = codeword_fock(x, alpha, n_max)
@@ -197,8 +200,7 @@ def block_decomposition(alpha: complex, m: int, d: int, n_max: int):
     if d < 1:
         raise ValueError("key space size d must be at least 1")
     psi = coherent_fock([complex(alpha)] * m, n_max)
-    t = total_photon_numbers(n_max, m)
-    residues = t % d
+    residues = total_photon_numbers(n_max, m) % d
     blocks = []
     skipped = []
     for j in range(d):
@@ -222,8 +224,5 @@ def apply_sign_flips(block: PartitionBlock, x: BitString) -> FockVector:
     psi = block.gtilde
     if len(x) != psi.modes:
         raise ValueError("bit string length must match the mode count")
-    occ = occupation_array(psi.cutoff, psi.modes)
-    sel = np.asarray(x.bits, dtype=np.int64)
-    parity = (occ @ sel) % 2
-    return FockVector(cutoff=psi.cutoff, modes=psi.modes,
-                      amps=psi.amps * np.where(parity == 1, -1.0, 1.0))
+    parity = occupation_array(psi.cutoff, psi.modes) @ np.asarray(x.bits, dtype=np.int64) % 2
+    return replace(psi, amps=psi.amps * np.where(parity == 1, -1.0, 1.0))

@@ -8,21 +8,19 @@ total photon number, which is why they commute with the encryption
 rotation and can run on ciphertexts.
 
 In the number basis an interferometer acts one fixed-total-photon block
-at a time; each block is built from u by the one-photon recursion, so its
-elements are exact and no eigensolve is needed.
+at a time, on the layout and sector tables that fock defines; each block
+is built from u by the one-photon recursion, so its elements are exact.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .encoding import AmplitudeVector
-from .fock import FockVector, coherent_coefficients, occupation_array
+from .fock import FockVector, coherent_coefficients, occupation_array, sector_tables
 
 UNITARITY_TOL = 1e-10
 
@@ -127,8 +125,7 @@ def nonlinear_phase_evolve(spec: NonlinearPhaseSpec, psi: FockVector) -> FockVec
         for mode, e in enumerate(exps):
             term *= occ[:, mode] ** e
         phi += term
-    return FockVector(cutoff=psi.cutoff, modes=psi.modes,
-                      amps=psi.amps * np.exp(-1j * spec.t * phi))
+    return replace(psi, amps=psi.amps * np.exp(-1j * spec.t * phi))
 
 
 def kerr_cat_reference(alpha: complex, n_max: int) -> FockVector:
@@ -148,43 +145,6 @@ def cat_state_target(alpha: complex, n_max: int) -> FockVector:
     minus = coherent_coefficients(-alpha, n_max)
     amps = (np.exp(-0.25j * math.pi) * plus + np.exp(0.25j * math.pi) * minus) / math.sqrt(2)
     return FockVector(cutoff=n_max, modes=1, amps=amps)
-
-
-class _Sectors(NamedTuple):
-    """Fixed-total-photon blocks of the (n_max+1)^m grid, read-only.
-
-    order lists the flat indices grouped by total n (index order inside a
-    block), block n being order[starts[n]:starts[n+1]].  Row i of roots
-    holds sqrt(z_j) for the i-th occupation z in that order; down[i, j] is
-    the local index of z - e_j inside block n - 1 (0 where z_j = 0, which
-    roots zeroes out) and peel[i] the most occupied mode of z, the first
-    of them on a tie.  Removing a photon never leaves the grid, so every
-    block reaches the one below.
-    """
-
-    order: np.ndarray
-    starts: np.ndarray
-    roots: np.ndarray
-    down: np.ndarray
-    peel: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def _sectors(n_max: int, m: int) -> _Sectors:
-    occ = occupation_array(n_max, m)
-    totals = occ.sum(axis=1)
-    order = np.argsort(totals, kind="stable")
-    starts = np.searchsorted(totals[order], np.arange(m * n_max + 2))
-    local = np.empty(len(occ), dtype=np.int64)
-    local[order] = np.arange(len(occ)) - starts[totals[order]]
-    occ = occ[order]
-    place = (n_max + 1) ** np.arange(m - 1, -1, -1)
-    down = np.where(occ > 0, local[np.maximum(order[:, None] - place, 0)], 0)
-    sectors = _Sectors(order=order, starts=starts, roots=np.sqrt(occ), down=down,
-                       peel=np.argmax(occ, axis=1))
-    for arr in sectors:
-        arr.flags.writeable = False
-    return sectors
 
 
 def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
@@ -210,17 +170,17 @@ def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
     m = psi.modes
     if u.modes != m:
         raise ValueError("interferometer size must match the mode count")
-    s = _sectors(psi.cutoff, m)
-    grouped = psi.amps[s.order]
+    order, starts, all_roots, all_down, all_peel = sector_tables(psi.cutoff, m)
+    grouped = psi.amps[order]
     block = np.ones((1, 1), dtype=complex)
-    for n in range(1, len(s.starts) - 1):
-        a, b = s.starts[n], s.starts[n + 1]
-        roots, down, peel = s.roots[a:b], s.down[a:b], s.peel[a:b]
+    for n in range(1, len(starts) - 1):
+        a, b = starts[n], starts[n + 1]
+        roots, down, peel = all_roots[a:b], all_down[a:b], all_peel[a:b]
         cols = np.arange(b - a)
         prev = block[:, down[cols, peel]]
         block = sum(roots[:, j, None] * prev[down[:, j]] * u.u[j, peel]
                     for j in range(m)) / roots[cols, peel]
         grouped[a:b] = block @ grouped[a:b]
     amps = np.empty_like(grouped)
-    amps[s.order] = grouped
-    return FockVector(cutoff=psi.cutoff, modes=m, amps=amps)
+    amps[order] = grouped
+    return replace(psi, amps=amps)

@@ -4,11 +4,15 @@ Everything works in the photon-number basis with a per-mode cap n_max.
 Multimode amplitudes are flat arrays indexed lexicographically by
 occupation tuple (z_1, ..., z_m) with z_1 most significant, which is
 exactly the index order produced by chained Kronecker products of
-single-mode vectors.
+single-mode vectors.  This module alone knows that layout: one cached,
+read-only index per grid behind occupation_array and total_photon_numbers,
+grid_size for its size without a huge power, and sector_tables for its
+fixed-total-photon blocks in the interferometer recursion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +41,8 @@ def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     b = np.empty(n_max + 1, dtype=complex)
     b[0] = math.exp(-abs(alpha) ** 2 / 2.0)
     if b[0] == 0.0:
@@ -100,20 +106,37 @@ def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_
     return len(terms) - 1
 
 
-def occupation_array(n_max: int, modes: int) -> np.ndarray:
-    """All occupation tuples as an integer array of shape (dim, modes).
+@functools.lru_cache(maxsize=8)
+def _grid(n_max: int, modes: int):
+    """(occupations, totals) of the grid, read-only: row i and total of flat index i."""
+    if n_max < 0 or modes < 1:
+        raise ValueError(f"a grid needs n_max >= 0 and modes >= 1, got {n_max} and {modes}")
+    occ = np.indices((n_max + 1,) * modes).reshape(modes, -1).T
+    totals = occ.sum(axis=1)
+    occ.flags.writeable = totals.flags.writeable = False
+    return occ, totals
 
-    Row order is lexicographic with the first mode most significant; this
-    is the documented index order of every flat multimode array in the
-    package.
-    """
-    grids = np.indices((n_max + 1,) * modes)
-    return grids.reshape(modes, (n_max + 1) ** modes).T
+
+def occupation_array(n_max: int, modes: int) -> np.ndarray:
+    """All occupation tuples as a read-only integer array of shape (dim, modes)."""
+    return _grid(n_max, modes)[0]
 
 
 def total_photon_numbers(n_max: int, modes: int) -> np.ndarray:
-    """Total photon number of each occupation tuple, in index order."""
-    return occupation_array(n_max, modes).sum(axis=1)
+    """Total photon number of each occupation tuple, in index order, read-only."""
+    return _grid(n_max, modes)[1]
+
+
+def grid_size(n_max: int, modes: int, cap: int) -> int:
+    """min((n_max+1)^modes, cap + 1), in at most cap.bit_length() + 1 products."""
+    if n_max < 0 or modes < 1:
+        raise ValueError(f"a grid needs n_max >= 0 and modes >= 1, got {n_max} and {modes}")
+    size = 1
+    for _ in range(modes if n_max else 0):
+        size *= n_max + 1
+        if size > cap:
+            return cap + 1
+    return size
 
 
 def sector_sizes(n_max: int, modes: int) -> np.ndarray:
@@ -122,6 +145,33 @@ def sector_sizes(n_max: int, modes: int) -> np.ndarray:
     for _ in range(modes):
         sizes = np.convolve(sizes, np.ones(n_max + 1, dtype=np.int64))
     return sizes
+
+
+@functools.lru_cache(maxsize=8)
+def sector_tables(n_max: int, modes: int):
+    """(order, starts, roots, down, peel): the grid's fixed-total blocks, read-only.
+
+    order lists the flat indices grouped by total n (index order inside a
+    block), block n being order[starts[n]:starts[n+1]].  Row i of roots
+    holds sqrt(z_j) for the i-th occupation z in that order; down[i, j] is
+    the local index of z - e_j inside block n - 1 (0 where z_j = 0, which
+    roots zeroes out) and peel[i] the most occupied mode of z, the first
+    of them on a tie.  Removing a photon never leaves the grid, so every
+    block reaches the one below.  Built once per grid, on first use.
+    """
+    occ, totals = _grid(n_max, modes)
+    order = np.argsort(totals, kind="stable")
+    starts = np.searchsorted(totals[order], np.arange(modes * n_max + 2))
+    local = np.empty(len(occ), dtype=np.int64)
+    local[order] = np.arange(len(occ)) - starts[totals[order]]
+    occ = occ[order]
+    # flat index of z - e_j is that of z less the place value of mode j
+    place = (n_max + 1) ** np.arange(modes - 1, -1, -1)
+    down = np.where(occ > 0, local[np.maximum(order[:, None] - place, 0)], 0)
+    tables = (order, starts, np.sqrt(occ), down, np.argmax(occ, axis=1))
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +189,10 @@ class FockVector:
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
         object.__setattr__(self, "amps", amps)
-        expected = (self.cutoff + 1) ** self.modes
-        if amps.shape != (expected,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({expected},)")
+        # grid_size also rejects cutoff < 0 and modes < 1
+        if amps.ndim != 1 or grid_size(self.cutoff, self.modes, len(amps)) != len(amps):
+            raise ValueError(f"amplitude vector has shape {amps.shape}, expected "
+                             f"(cutoff+1)^m = {self.cutoff + 1}^{self.modes} entries")
 
     def squared_norm(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)

@@ -168,14 +168,11 @@ def qk_ak_enumeration(params: SecurityParams, n_max: int):
     m, d = params.m, params.d
     psi = coherent_fock([params.abs_alpha] * m, n_max)
     weight2 = np.abs(psi.amps) ** 2
-    occ = occupation_array(n_max, m)
-    x = np.array([1] * params.w + [0] * (m - params.w), dtype=np.int64)
-    signs = np.where((occ @ x) % 2 == 1, -1.0, 1.0)
+    flipped = occupation_array(n_max, m)[:, :params.w].sum(axis=1)
+    signs = np.where(flipped % 2 == 1, -1.0, 1.0)
     residues = total_photon_numbers(n_max, m) % d
-    q = np.zeros(d)
-    s = np.zeros(d)
-    np.add.at(q, residues, weight2)
-    np.add.at(s, residues, signs * weight2)
+    q = np.bincount(residues, weight2, minlength=d)
+    s = np.bincount(residues, signs * weight2, minlength=d)
     a = np.ones(d)
     present = q >= EMPTY_BLOCK_FLOOR
     a[present] = s[present] / q[present]

@@ -1,0 +1,234 @@
+"""Tests for the number-basis layout that fock alone defines.
+
+Covers the cached occupation index, the capped grid size, the sector
+tables of the interferometer recursion, the rejection of impossible grids
+and non-finite amplitudes, and the callers that now read fock instead of
+doing their own grid arithmetic.
+"""
+
+import math
+import time
+
+import numpy as np
+import pytest
+
+from phasekey import fock, protocol
+from phasekey.encoding import BitString, codeword_fock, encode, encryption_channel_density
+from phasekey.evaluation import (
+    NonlinearPhaseSpec,
+    haar_random_unitary,
+    interferometer_fock,
+    kerr_cat_reference,
+)
+from phasekey.fock import (
+    CapacityError,
+    FockVector,
+    coherent_coefficients,
+    coherent_fock,
+    grid_size,
+    occupation_array,
+    sector_tables,
+    total_photon_numbers,
+)
+from phasekey.protocol import CircuitDescription, run_protocol
+from phasekey.security import SecurityParams, encrypted_distance_oracle, qk_ak_enumeration
+
+
+def ref_occupations(n_max, modes):
+    """The grid as np.indices lays it out, first mode most significant."""
+    return np.indices((n_max + 1,) * modes).reshape(modes, (n_max + 1) ** modes).T
+
+
+class TestGridIndex:
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
+    def test_matches_np_indices_and_is_read_only(self, n_max, modes):
+        occ = occupation_array(n_max, modes)
+        totals = total_photon_numbers(n_max, modes)
+        ref = ref_occupations(n_max, modes)
+        np.testing.assert_array_equal(occ, ref)
+        np.testing.assert_array_equal(totals, ref.sum(axis=1))
+        assert occ.dtype == ref.dtype and totals.dtype == ref.dtype
+        for arr in (occ, totals):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_built_once_per_grid(self):
+        assert occupation_array(3, 2) is occupation_array(3, 2)
+        assert total_photon_numbers(3, 2) is total_photon_numbers(3, 2)
+
+    @pytest.mark.parametrize("n_max, modes", [(-1, 2), (-3, 1), (2, 0), (2, -1)])
+    def test_impossible_grids_are_rejected(self, n_max, modes):
+        with pytest.raises(ValueError, match="a grid needs"):
+            occupation_array(n_max, modes)
+        with pytest.raises(ValueError, match="a grid needs"):
+            total_photon_numbers(n_max, modes)
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
+    @pytest.mark.parametrize("modes", [1, 3, 7])
+    @pytest.mark.parametrize("cap", [0, 8, 10 ** 6])
+    def test_is_the_capped_power(self, n_max, modes, cap):
+        assert grid_size(n_max, modes, cap) == min((n_max + 1) ** modes, cap + 1)
+
+    def test_huge_mode_count_is_fast(self):
+        start = time.perf_counter()
+        assert grid_size(2, 10 ** 7, 2 ** 22) == 2 ** 22 + 1
+        assert grid_size(0, 10 ** 7, 5) == 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n_max, modes", [(-1, 2), (2, 0)])
+    def test_impossible_grids_are_rejected(self, n_max, modes):
+        with pytest.raises(ValueError, match="a grid needs"):
+            grid_size(n_max, modes, 10)
+
+
+class TestFockVectorShape:
+    def test_huge_mode_count_fails_fast(self):
+        # 3^(10^7) alone takes seconds to form; the length check never forms it
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"\(cutoff\+1\)\^m"):
+            FockVector(cutoff=2, modes=10 ** 7, amps=[1])
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("cutoff, modes", [(-2, 2), (-1, 1), (1, 0), (1, -1)])
+    def test_impossible_grids_are_rejected(self, cutoff, modes):
+        with pytest.raises(ValueError, match="a grid needs"):
+            FockVector(cutoff=cutoff, modes=modes, amps=[1])
+
+    @pytest.mark.parametrize("amps", [np.ones(3), np.ones(5), np.ones((2, 2)), 1.0])
+    def test_wrong_length_is_rejected(self, amps):
+        with pytest.raises(ValueError, match=r"\(cutoff\+1\)\^m"):
+            FockVector(cutoff=1, modes=2, amps=amps)
+
+
+class TestSectorTables:
+    @pytest.mark.parametrize("n_max, modes", [(0, 1), (3, 1), (2, 2), (3, 3), (1, 4)])
+    def test_blocks_and_down_indices(self, n_max, modes):
+        tables = sector_tables(n_max, modes)
+        order, starts, roots, down, peel = tables
+        occ = ref_occupations(n_max, modes)
+        totals = occ.sum(axis=1)
+        np.testing.assert_array_equal(np.diff(starts), fock.sector_sizes(n_max, modes))
+        for n in range(len(starts) - 1):
+            block = order[starts[n]:starts[n + 1]]
+            np.testing.assert_array_equal(block, np.flatnonzero(totals == n))
+            for i, z in enumerate(occ[block], start=starts[n]):
+                np.testing.assert_array_equal(roots[i], np.sqrt(z))
+                assert peel[i] == int(np.argmax(z))
+                for j in np.flatnonzero(z):
+                    below = order[starts[n - 1] + down[i, j]]
+                    np.testing.assert_array_equal(occ[below], z - np.eye(modes, dtype=int)[j])
+        assert not any(arr.flags.writeable for arr in tables)
+
+    def test_light_oracles_never_build_them(self):
+        # the support oracle and the enumeration read only occupations and totals
+        before = sector_tables.cache_info().misses
+        encrypted_distance_oracle(BitString((0, 0, 0)), BitString((1, 0, 0)), 0.31, 3, 11)
+        qk_ak_enumeration(SecurityParams(m=3, d=4, abs_alpha=0.31, w=1), 11)
+        assert sector_tables.cache_info().misses == before
+
+    def test_interferometer_builds_them_once(self):
+        psi = coherent_fock([0.2, -0.1j], 9)
+        u = haar_random_unitary(2, 5)
+        interferometer_fock(u, psi)
+        before = sector_tables.cache_info().misses
+        interferometer_fock(u, psi)
+        assert sector_tables.cache_info().misses == before
+
+
+class TestNonFiniteAlpha:
+    BAD = [math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("alpha", BAD)
+    def test_codeword_fock(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            codeword_fock(BitString((0, 1)), alpha, 3)
+
+    @pytest.mark.parametrize("alpha", BAD)
+    def test_encode(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            encode(BitString((1, 0, 1)), alpha)
+
+    @pytest.mark.parametrize("alpha", BAD)
+    def test_encryption_channel_density(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            encryption_channel_density(BitString((0, 1)), alpha, 3, 4)
+
+    @pytest.mark.parametrize("alpha", BAD)
+    def test_encrypted_distance_oracle(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            encrypted_distance_oracle(BitString((0, 0)), BitString((1, 0)), alpha, 3, 4)
+
+    @pytest.mark.parametrize("alpha", BAD + [complex(0, math.nan), complex(math.inf, 0)])
+    def test_coherent_fock(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_fock([0.5, alpha], 4)
+        with pytest.raises(ValueError, match="finite"):
+            coherent_coefficients(alpha, 4)
+
+    @pytest.mark.parametrize("alpha", BAD)
+    def test_kerr_cat_reference(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            kerr_cat_reference(alpha, 4)
+
+    @pytest.mark.parametrize("alpha", [40.0, -55j])
+    def test_finite_underflow_stays_a_capacity_error(self, alpha):
+        with pytest.raises(CapacityError, match="underflows"):
+            coherent_fock([alpha], 3)
+
+
+def ref_qk_ak_enumeration(params, n_max):
+    """The np.add.at form the enumeration had before it used np.bincount."""
+    m, d = params.m, params.d
+    psi = coherent_fock([params.abs_alpha] * m, n_max)
+    weight2 = np.abs(psi.amps) ** 2
+    occ = ref_occupations(n_max, m)
+    x = np.array([1] * params.w + [0] * (m - params.w), dtype=np.int64)
+    signs = np.where((occ @ x) % 2 == 1, -1.0, 1.0)
+    residues = occ.sum(axis=1) % d
+    q = np.zeros(d)
+    s = np.zeros(d)
+    np.add.at(q, residues, weight2)
+    np.add.at(s, residues, signs * weight2)
+    a = np.ones(d)
+    present = q >= 1e-300
+    a[present] = s[present] / q[present]
+    q[~present] = 0.0
+    return q, a
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 5, 9])
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.4])
+def test_enumeration_is_bit_identical_to_add_at(m, d, alpha):
+    for w in range(m + 1):
+        p = SecurityParams(m=m, d=d, abs_alpha=alpha, w=w)
+        n_max = fock.truncation_bound(p.E, 1e-12)
+        q, a = qk_ak_enumeration(p, n_max)
+        q_ref, a_ref = ref_qk_ak_enumeration(p, n_max)
+        assert q.tobytes() == q_ref.tobytes() and a.tobytes() == a_ref.tobytes()
+
+
+class TestRunProtocolDecryptsOnce:
+    @pytest.mark.parametrize("circuit", [
+        CircuitDescription(gates=()),
+        CircuitDescription(gates=(haar_random_unitary(2, 3),)),
+        CircuitDescription(gates=(NonlinearPhaseSpec(terms={(1, 1): 0.2}),
+                                  haar_random_unitary(2, 4))),
+    ])
+    def test_one_decryption_and_the_same_transcript(self, monkeypatch, circuit):
+        x = BitString((1, 0))
+        expected = run_protocol(x, 0.9, 50, circuit, seed=7).to_jsonl()
+        calls = []
+        real = protocol.client_decrypt
+
+        def counted(ct, key):
+            calls.append(ct)
+            return real(ct, key)
+
+        monkeypatch.setattr(protocol, "client_decrypt", counted)
+        assert run_protocol(x, 0.9, 50, circuit, seed=7).to_jsonl() == expected
+        assert len(calls) == 1
