@@ -21,7 +21,6 @@ from .fock import CapacityError
 from .protocol import (
     CircuitDescription,
     circuit_from_json,
-    client_decrypt,
     run_protocol,
     wire_float,
 )
@@ -233,9 +232,8 @@ def _resolve_circuit(spec: str, m: int) -> CircuitDescription:
 
 
 def _cat_fidelity(tr) -> float:
-    plain = client_decrypt(tr.returned, tr.key)
-    target = cat_state_target(tr.alpha, plain.cutoff)
-    a, b = plain.amps, target.amps
+    target = cat_state_target(tr.alpha, tr.decrypted.cutoff)
+    a, b = tr.decrypted.amps, target.amps
     fid = float(abs(np.vdot(a, b)) ** 2
                 / (np.vdot(a, a).real * np.vdot(b, b).real))
     return min(fid, 1.0)

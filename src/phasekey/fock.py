@@ -12,14 +12,17 @@ fixed-total-photon blocks in the interferometer recursion.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_TRUNCATION_EPS = 1e-10
 HARD_CUTOFF_CAP = 4096
+_LN_MIN_NORMAL = math.log(sys.float_info.min)
 
 # Most that dropping the off-sector part of an operator may move half its
 # trace norm in a sector-wise eigensolve.
@@ -30,24 +33,39 @@ class CapacityError(Exception):
     """A requested computation exceeds the configured size caps."""
 
 
+def _poisson_start(E: float, root: int = 1):
+    """(t, v): the first t where v, the root-th root of e^{-E} E^t / t!, is a normal double.
+
+    t = 0 with v = math.exp(-E / root), bit for bit, while that is normal
+    (E up to root * 708.4); past it, t is bisected below the mode floor(E).
+    """
+    if E <= -root * _LN_MIN_NORMAL:
+        return 0, math.exp(-E / root)
+
+    def term(t):
+        return math.exp((t * math.log(E) - E - math.lgamma(t + 1)) / root)
+    below_mode = range(min(math.floor(E), sys.maxsize))  # bisect needs an index-sized length
+    t = bisect.bisect_left(below_mode, sys.float_info.min, key=term)
+    return t, term(t)
+
+
 def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     """Number-basis coefficients b_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 
     Computed by the recurrence b_{n+1} = b_n * alpha / sqrt(n+1), which
-    stays finite where the factorial form would overflow past n ~ 170.
-    Raises CapacityError where the start e^{-|alpha|^2/2} underflows to 0
-    (|alpha|^2 above ~1490), which would give an all-zero state.
+    stays finite where the factorial form would overflow past n ~ 170.  It
+    starts at the first normal |b_n| (n = 0 for |alpha|^2 up to ~1417) times
+    the phase of alpha^n; the entries below, all if n > n_max, stay 0.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    b = np.empty(n_max + 1, dtype=complex)
-    b[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    if b[0] == 0.0:
-        raise CapacityError(f"e^(-|alpha|^2/2) underflows to 0 at |alpha| = {abs(alpha):g}")
-    for n in range(n_max):
+    b = np.zeros(n_max + 1, dtype=complex)
+    start, mag = _poisson_start(abs(alpha) ** 2, root=2)
+    b[start:start + 1] = mag * (alpha / abs(alpha)) ** start if start else mag
+    for n in range(start, n_max):
         b[n + 1] = b[n] * alpha / math.sqrt(n + 1)
     return b
 
@@ -57,36 +75,38 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
     """Poisson(E) probabilities e^{-E} E^t / t! for t = 0..n, n the cutoff.
 
     n is the smallest count whose tail mass beyond n is below eps.  The
-    terms come from the recurrence p_t = p_{t-1} E / t started at e^{-E};
-    every closed form sums these same terms.  Raises CapacityError when n
-    would exceed hard_cap.
+    terms come from the recurrence p_t = p_{t-1} E / t from the first
+    normal one: e^{-E} at t = 0 up to E ~ 708.4, which keeps the goldens'
+    bits.  Past that, the terms below the start are 0 and the kept ones are
+    divided by their sum, which rounding in the log-form start would lift
+    above 1.  Raises CapacityError when n would exceed hard_cap.
     """
     E = float(E)
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if E < 0.0:
         raise ValueError("total energy must be nonnegative")
-    if E == 0.0:
-        return np.ones(1)
+    too_long = "cutoff for tail {:g} at energy {:g} exceeds the cap {}"
+    limit = 2 * hard_cap + 64
+    if not E <= limit:  # inf too: the loop below would pass the limit before the mode
+        raise CapacityError(too_long.format(eps, E, hard_cap))
     # Collect probability terms until they are far below eps and past the
     # distribution mode, then form tails by summing small terms first so
     # the tail values carry no cancellation error.
-    terms = [math.exp(-E)]
-    t = 0
-    while terms[-1] >= eps * 1e-6 or t < 2.0 * E + 4.0:
+    start, first = _poisson_start(E)
+    terms = [first]
+    t = start
+    while (terms[-1] >= eps * 1e-6 or t <= E) and t <= limit:
         t += 1
         terms.append(terms[-1] * E / t)
-        if t > 2 * hard_cap + 64:
-            raise CapacityError(
-                f"cutoff for tail {eps:g} at energy {E:g} exceeds the cap {hard_cap}")
     terms = np.asarray(terms)
-    # tails[n] = P(total >= n); the mass beyond n is tails[n + 1]
+    # tails[j] = P(total >= start + j); the mass beyond start + j is tails[j + 1]
     tails = np.cumsum(terms[::-1])[::-1]
     below = np.flatnonzero(tails[1:] < eps)
-    if len(below) == 0 or below[0] > hard_cap:
-        raise CapacityError(
-            f"cutoff for tail {eps:g} at energy {E:g} exceeds the cap {hard_cap}")
-    return terms[:below[0] + 1]
+    if t > limit or len(below) == 0 or start + below[0] > hard_cap:
+        raise CapacityError(too_long.format(eps, E, hard_cap))
+    kept = terms[:below[0] + 1]
+    return np.concatenate((np.zeros(start), kept / kept.sum())) if start else kept
 
 
 def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_EPS,
@@ -97,13 +117,9 @@ def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_
     codewords); the total photon number of a multimode coherent state is
     Poisson(E), so a joint cutoff at n_max discards less than eps of the
     state's mass.  This is the last index of poisson_terms(E, eps), with
-    its ValueError and CapacityError cases, and a CapacityError where the
-    start e^{-E} underflows to 0 (E above ~745), which would give cutoff 0.
+    its ValueError and CapacityError cases.
     """
-    terms = poisson_terms(abs_alpha_sq_total, eps, hard_cap)
-    if terms[0] == 0.0:
-        raise CapacityError(f"e^-E underflows to 0 at energy {abs_alpha_sq_total:g}")
-    return len(terms) - 1
+    return len(poisson_terms(abs_alpha_sq_total, eps, hard_cap)) - 1
 
 
 @functools.lru_cache(maxsize=8)

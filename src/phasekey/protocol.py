@@ -330,7 +330,7 @@ def client_decrypt_decode(ct: CipherText, key: PhaseKey, alpha: complex) -> BitS
 
 @dataclass
 class Transcript:
-    """Everything one protocol run produced, serializable as JSON lines."""
+    """Everything one protocol run produced; to_jsonl writes all of it but decrypted."""
 
     m: int
     d: int
@@ -345,6 +345,7 @@ class Transcript:
     y: "BitString | None"
     y_reference: "BitString | None"
     flags: list = field(default_factory=list)
+    decrypted: "CipherText | None" = None
 
     @property
     def correct(self) -> bool:
@@ -431,4 +432,5 @@ def run_protocol(x: BitString, alpha: complex, d: int, circuit: CircuitDescripti
         m=m, d=d, alpha=alpha, seed=seed, key=key, sent=sent, circuit=circuit,
         returned=returned,
         decrypt_ops={"phase_rotations": m, "decode_decisions": m},
-        correctness=correctness, y=y, y_reference=y_reference, flags=flags)
+        correctness=correctness, y=y, y_reference=y_reference, flags=flags,
+        decrypted=decrypted)

@@ -13,13 +13,13 @@ Closed forms evaluate in O(E + d) time via total-photon-number residue
 sums.  They take the Poisson(E) terms from fock.poisson_terms, the same
 terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
 add them in index order (np.bincount, np.cumsum); that fixed order is what
-keeps the sweep CSVs byte-identical.  Every closed form has a
-brute-force companion (the dense channel average of encoding with
-fock.trace_distance_numeric; here, the support-basis oracle, tuple
+keeps the sweep CSVs byte-identical.  Past E ~ 708.4, where e^{-E} is no
+longer a normal double, the terms start at the first normal one, so the
+closed forms hold at every energy the cutoff cap admits.  Every closed
+form has a brute-force companion (the dense channel average of encoding
+with fock.trace_distance_numeric; here, the support-basis oracle, tuple
 enumeration and the numeric pretty-good measurement) so the formulas are
-never trusted on their own.  The support-basis oracle uses every grid
-amplitude but no series: it orthogonalizes the two codewords within each
-total-photon-number sector and eigensolves in their span.
+never trusted on their own.
 """
 
 from __future__ import annotations
@@ -113,34 +113,22 @@ def _class_sums(params: SecurityParams):
 
     Grouping the occupation tuples of a class by their total photon number
     t turns both the weight and the signed overlap sum into single Poisson
-    series: q_k collects e^{-E} E^t / t! over t = k (mod d), the signed sum
-    collects e^{-E} c^t / t! with c = (m - 2w)|alpha|^2.
+    series: q_k collects p_t = e^{-E} E^t / t! over t = k (mod d), the signed
+    sum collects e^{-E} c^t / t! with c = (m - 2w)|alpha|^2.  That is the
+    recurrence from e^{-E} the goldens pin while poisson_terms starts at
+    t = 0, else p_t r^t with r = (m - 2w)/m, which keeps A = +-1 at w = 0, m.
     """
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
-    c = (params.m - 2 * params.w) * params.abs_alpha ** 2
-    signed = [float(pois[0])]
-    for t in range(1, len(pois)):
-        signed.append(signed[-1] * c / t)
+    if pois[0] > 0.0:
+        c = (params.m - 2 * params.w) * params.abs_alpha ** 2
+        signed = [float(pois[0])]
+        for t in range(1, len(pois)):
+            signed.append(signed[-1] * c / t)
+    else:
+        signed = pois * ((params.m - 2 * params.w) / params.m) ** np.arange(len(pois))
     residues = np.arange(len(pois)) % params.d
     return (np.bincount(residues, pois, minlength=params.d),
             np.bincount(residues, signed, minlength=params.d))
-
-
-def qk_limit(params: SecurityParams, k: int) -> float:
-    """Block weight for an unbounded key space: the Poisson(E) mass at k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    E = params.E
-    if E == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(E) - E - math.lgamma(k + 1))
-
-
-def ak_limit(params: SecurityParams, k: int) -> float:
-    """Block overlap for an unbounded key space: ((m - 2w)/m)^k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return ((params.m - 2 * params.w) / params.m) ** k
 
 
 def qk_ak_finite(params: SecurityParams, k: int):
@@ -154,8 +142,7 @@ def qk_ak_finite(params: SecurityParams, k: int):
     q, s = _class_sums(params)
     if q[k] < EMPTY_BLOCK_FLOOR:
         return 0.0, 1.0
-    a = s[k] / q[k]
-    return float(q[k]), float(min(1.0, max(-1.0, a)))
+    return float(q[k]), float(min(1.0, max(-1.0, s[k] / q[k])))
 
 
 def qk_ak_enumeration(params: SecurityParams, n_max: int):

@@ -140,12 +140,15 @@ class TestExitCodes:
         assert rc == 3
         assert "capacity" in capsys.readouterr().err
 
-    def test_underflowing_amplitude_is_three(self, tmp_path, capsys):
-        rc = run_cli(["protocol-demo", "--m", "1", "--alpha", "40", "--circuit", "kerr-cat",
-                      "--out", str(tmp_path / "t.jsonl")])
-        assert rc == 3
-        assert "capacity exceeded: e^-E underflows" in capsys.readouterr().err
-        assert not (tmp_path / "t.jsonl").exists()
+    def test_large_amplitude_kerr_cat_is_zero(self, tmp_path, capsys):
+        # e^{-|alpha|^2} underflows at |alpha| = 40; the state starts at its first normal term
+        out = tmp_path / "t.jsonl"
+        rc = run_cli(["protocol-demo", "--m", "1", "--x", "0", "--alpha", "40",
+                      "--circuit", "kerr-cat", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        last = json.loads(out.read_text().splitlines()[-1])
+        assert last["type"] == "cat_fidelity" and last["value"] >= 1 - 1e-8
 
     def test_three_mode_kerr_over_the_size_cap_is_three(self, tmp_path, capsys):
         # |alpha|^2 = 3 per mode gives n_max 34, a 35^3 grid

@@ -51,15 +51,25 @@ class TestCoherentCoefficients:
             direct = math.exp(-abs(alpha) ** 2 / 2) * alpha ** n / math.sqrt(math.factorial(n))
             assert b[n] == pytest.approx(direct, abs=1e-14)
 
+    @pytest.mark.parametrize("alpha", [1e9, 1e10, -1e150j])
+    def test_huge_amplitude_is_zero_below_the_cutoff(self, alpha):
+        # every b_n with n <= 3 is far below the smallest double
+        assert not np.any(coherent_coefficients(alpha, 3))
+
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
             coherent_coefficients(1.0, -1)
 
     @pytest.mark.parametrize("alpha", [40.0, -55j])
-    def test_underflowing_start_raises(self, alpha):
-        # e^{-|alpha|^2/2} is 0 here: the state would be all zeros
-        with pytest.raises(CapacityError, match="underflows"):
-            coherent_coefficients(alpha, 3)
+    def test_large_amplitude_matches_log_form(self, alpha):
+        # e^{-|alpha|^2/2} underflows here; the recurrence starts where |b_n| is normal
+        E = abs(alpha) ** 2
+        b = coherent_coefficients(alpha, truncation_bound(E, 1e-12))
+        assert np.vdot(b, b).real == pytest.approx(1.0, abs=1e-10)
+        phase = alpha / abs(alpha)
+        for n in (int(E) - 200, int(E) - 3, int(E), int(E) + 150):
+            want = math.exp(n * math.log(abs(alpha)) - E / 2 - math.lgamma(n + 1) / 2) * phase ** n
+            assert b[n] == pytest.approx(want, rel=1e-9)
 
 
 class TestTruncationBound:
@@ -92,10 +102,10 @@ class TestTruncationBound:
             truncation_bound(6000.0, 1e-12)
 
     @pytest.mark.parametrize("E", [746.0, 800.0, 1600.0])
-    def test_underflowing_start_raises(self, E):
-        # e^{-E} is 0 here, which would give cutoff 0
-        with pytest.raises(CapacityError, match="underflows"):
-            truncation_bound(E)
+    def test_start_past_zero_matches_survival_function(self, E):
+        # e^{-E} is 0 here; the series starts at its first normal term
+        n = truncation_bound(E)
+        assert poisson.sf(n, E) < 1e-10 <= poisson.sf(n - 1, E)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):

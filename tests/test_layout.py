@@ -21,7 +21,6 @@ from phasekey.evaluation import (
     kerr_cat_reference,
 )
 from phasekey.fock import (
-    CapacityError,
     FockVector,
     coherent_coefficients,
     coherent_fock,
@@ -175,9 +174,13 @@ class TestNonFiniteAlpha:
             kerr_cat_reference(alpha, 4)
 
     @pytest.mark.parametrize("alpha", [40.0, -55j])
-    def test_finite_underflow_stays_a_capacity_error(self, alpha):
-        with pytest.raises(CapacityError, match="underflows"):
-            coherent_fock([alpha], 3)
+    def test_large_finite_alpha_is_a_coherent_state(self, alpha):
+        # every amplitude below n = 3 is under 1e-300, and the full state is normalized
+        assert np.abs(coherent_fock([alpha], 3).amps).max() < 1e-300
+        n_max = fock.truncation_bound(abs(alpha) ** 2, 1e-12)
+        psi = coherent_fock([alpha], n_max)
+        np.testing.assert_array_equal(psi.amps, coherent_coefficients(alpha, n_max))
+        assert psi.squared_norm() == pytest.approx(1.0, abs=1e-10)
 
 
 def ref_qk_ak_enumeration(params, n_max):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from phasekey.encoding import BitString, encryption_channel_density
-from phasekey.fock import trace_distance_numeric, truncation_bound
+from phasekey.fock import poisson_terms, trace_distance_numeric, truncation_bound
 from phasekey.security import (
+    SERIES_TAIL_EPS,
     PgmResult,
     SecurityParams,
-    ak_limit,
     encrypted_distance_oracle,
     encrypted_trace_distance,
     encrypted_trace_distance_limit,
@@ -18,7 +18,6 @@ from phasekey.security import (
     pgm_numeric_oracle,
     qk_ak_enumeration,
     qk_ak_finite,
-    qk_limit,
     rank2_eigenvalues,
     suppression_ratio,
     unencrypted_trace_distance,
@@ -81,34 +80,39 @@ class TestRank2Eigenvalues:
 
 
 class TestLimitBlocks:
+    # For an unbounded key space, block k has weight q_k = e^{-E} E^k / k!
+    # (poisson_terms) and overlap A_k = r^k with r = (m - 2w)/m.
     def test_qk_at_zero(self):
-        assert qk_limit(params(2, 5, 1.0, 1), 0) == pytest.approx(math.exp(-2), abs=1e-15)
+        p = params(2, 5, 1.0, 1)
+        assert poisson_terms(p.E, SERIES_TAIL_EPS)[0] == pytest.approx(math.exp(-2), abs=1e-15)
 
     def test_ak_linear_case(self):
-        assert ak_limit(params(10, 100, 1.0, 1), 1) == pytest.approx(0.8, abs=1e-15)
+        m, w = 10, 1
+        assert ((m - 2 * w) / m) ** 1 == pytest.approx(0.8, abs=1e-15)
 
     @pytest.mark.parametrize("m, w", [(10, 1), (4, 2), (4, 4)])  # r = 0.8, 0, -1
     def test_ak_at_zero_is_one(self, m, w):
-        assert ak_limit(params(m, 100, 1.0, w), 0) == 1.0
+        assert ((m - 2 * w) / m) ** 0 == 1.0
 
     def test_ak_balanced_string(self):
+        m, w = 2, 1
         for k in (1, 2, 5):
-            assert ak_limit(params(2, 5, 1.0, 1), k) == 0.0
+            assert ((m - 2 * w) / m) ** k == 0.0
 
     def test_qk_sums_to_one(self):
         p = params(3, 7, 1.1, 2)
-        total = sum(qk_limit(p, k) for k in range(200))
+        total = sum(poisson_terms(p.E, SERIES_TAIL_EPS))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_ak_against_enumeration(self):
         # signed mass over one residue class, tuple by tuple
-        p = params(10, 100, 1.0, 1)
+        m, w = 10, 1
         n_max = 4
-        q, a = qk_ak_enumeration(params(10, 100 * 1000, 1.0, 1), n_max)
+        q, a = qk_ak_enumeration(params(m, 100 * 1000, 1.0, w), n_max)
         # with d far beyond the reachable totals, class k holds exactly the
         # total-photon-number-k tuples, matching the unbounded-key formula
-        assert a[1] == pytest.approx(ak_limit(p, 1), abs=1e-12)
-        assert a[2] == pytest.approx(ak_limit(p, 2), abs=1e-10)
+        assert a[1] == pytest.approx(((m - 2 * w) / m) ** 1, abs=1e-12)
+        assert a[2] == pytest.approx(((m - 2 * w) / m) ** 2, abs=1e-10)
 
 
 class TestFiniteBlocks:

@@ -105,8 +105,10 @@ def _mutations(valid: dict, keys):
         obj = json.loads(json.dumps(valid))
         for where, key, value in draw_pairs:
             target = obj
-            if where == "gate" and obj.get("gates"):
-                target = obj["gates"][0]
+            gates = obj.get("gates")
+            # an earlier pair may have replaced the gate list with junk
+            if where == "gate" and isinstance(gates, list) and gates and isinstance(gates[0], dict):
+                target = gates[0]
             target[key] = value
         return obj
     fields = st.sampled_from(keys + ["kind", "matrix", "terms", "t", "exps", "g"])
