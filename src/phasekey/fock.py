@@ -23,6 +23,11 @@ import numpy as np
 DEFAULT_TRUNCATION_EPS = 1e-10
 HARD_CUTOFF_CAP = 4096
 _LN_MIN_NORMAL = math.log(sys.float_info.min)
+_TOO_LONG = "cutoff for tail {:g} at energy {:g} exceeds the cap {}"
+
+# Most series poisson_terms keeps: above the 101 energies of a golden sweep's
+# alpha grid, so a sweep over several w finds each energy still held.
+_SERIES_CACHE_SIZE = 256
 
 # Most that dropping the off-sector part of an operator may move half its
 # trace norm in a sector-wise eigensolve.
@@ -56,14 +61,21 @@ def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     stays finite where the factorial form would overflow past n ~ 170.  It
     starts at the first normal |b_n| (n = 0 for |alpha|^2 up to ~1417) times
     the phase of alpha^n; the entries below, all if n > n_max, stay 0.
+    Raises CapacityError when |alpha|^2 overflows a double.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
+    try:
+        E = abs(alpha) ** 2
+    except OverflowError:  # the float power raises past |alpha| ~ 1.3e154
+        E = math.inf
+    if E == math.inf:  # before _poisson_start, whose floor(E) would overflow too
+        raise CapacityError(_TOO_LONG.format(DEFAULT_TRUNCATION_EPS, E, HARD_CUTOFF_CAP))
     b = np.zeros(n_max + 1, dtype=complex)
-    start, mag = _poisson_start(abs(alpha) ** 2, root=2)
+    start, mag = _poisson_start(E, root=2)
     b[start:start + 1] = mag * (alpha / abs(alpha)) ** start if start else mag
     for n in range(start, n_max):
         b[n + 1] = b[n] * alpha / math.sqrt(n + 1)
@@ -80,33 +92,44 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
     bits.  Past that, the terms below the start are 0 and the kept ones are
     divided by their sum, which rounding in the log-form start would lift
     above 1.  Raises CapacityError when n would exceed hard_cap.
+
+    Each series is computed once per process: the result is memoized, for
+    the last _SERIES_CACHE_SIZE (E, eps, hard_cap), and returned read-only
+    so no caller can change another's.  Errors are not memoized.
     """
-    E = float(E)
+    return _poisson_terms(float(E), float(eps), int(hard_cap))
+
+
+@functools.lru_cache(maxsize=_SERIES_CACHE_SIZE)
+def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if E < 0.0:
         raise ValueError("total energy must be nonnegative")
-    too_long = "cutoff for tail {:g} at energy {:g} exceeds the cap {}"
     limit = 2 * hard_cap + 64
     if not E <= limit:  # inf too: the loop below would pass the limit before the mode
-        raise CapacityError(too_long.format(eps, E, hard_cap))
+        raise CapacityError(_TOO_LONG.format(eps, E, hard_cap))
     # Collect probability terms until they are far below eps and past the
     # distribution mode, then form tails by summing small terms first so
     # the tail values carry no cancellation error.
-    start, first = _poisson_start(E)
-    terms = [first]
+    start, x = _poisson_start(E)
+    terms = [x]
     t = start
-    while (terms[-1] >= eps * 1e-6 or t <= E) and t <= limit:
+    while (x >= eps * 1e-6 or t <= E) and t <= limit:
         t += 1
-        terms.append(terms[-1] * E / t)
+        x = x * E / t
+        terms.append(x)
     terms = np.asarray(terms)
     # tails[j] = P(total >= start + j); the mass beyond start + j is tails[j + 1]
     tails = np.cumsum(terms[::-1])[::-1]
     below = np.flatnonzero(tails[1:] < eps)
     if t > limit or len(below) == 0 or start + below[0] > hard_cap:
-        raise CapacityError(too_long.format(eps, E, hard_cap))
+        raise CapacityError(_TOO_LONG.format(eps, E, hard_cap))
     kept = terms[:below[0] + 1]
-    return np.concatenate((np.zeros(start), kept / kept.sum())) if start else kept
+    # a copy, not a view: the cache should hold no writable base or unkept terms
+    kept = np.concatenate((np.zeros(start), kept / kept.sum())) if start else kept.copy()
+    kept.flags.writeable = False
+    return kept
 
 
 def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_EPS,

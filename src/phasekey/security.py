@@ -15,15 +15,20 @@ terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
 add them in index order (np.bincount, np.cumsum); that fixed order is what
 keeps the sweep CSVs byte-identical.  Past E ~ 708.4, where e^{-E} is no
 longer a normal double, the terms start at the first normal one, so the
-closed forms hold at every energy the cutoff cap admits.  Every closed
-form has a brute-force companion (the dense channel average of encoding
-with fock.trace_distance_numeric; here, the support-basis oracle, tuple
-enumeration and the numeric pretty-good measurement) so the formulas are
-never trusted on their own.
+closed forms hold at every energy the cutoff cap admits.  The series and
+the class sums built from it are memoized per process (a bounded cache of
+read-only arrays, keyed by energy and tail for the series and by the frozen
+SecurityParams for the sums), so a sweep row that asks for the distance,
+the ratio and the limit at one energy builds the series and the sums once.
+Every closed form has a brute-force companion (the dense channel average of
+encoding with fock.trace_distance_numeric; here, the support-basis oracle,
+tuple enumeration and the numeric pretty-good measurement) so the formulas
+are never trusted on their own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +49,9 @@ SERIES_TAIL_EPS = 1e-14
 
 # Relative eigenvalue threshold for the pseudoinverse square root.
 PGM_PINV_CUT = 1e-12
+
+# Most parameter sets whose class sums _class_sums keeps.
+_CLASS_SUMS_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,9 @@ def rank2_eigenvalues(C: float, cos_theta: float):
     return (1 + C) * (1 - cos_theta), (1 - C) * (1 + cos_theta)
 
 
+@functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
 def _class_sums(params: SecurityParams):
-    """Residue-class sums (q_k, signed_k) for k = 0..d-1.
+    """Residue-class sums (q_k, signed_k) for k = 0..d-1, read-only.
 
     Grouping the occupation tuples of a class by their total photon number
     t turns both the weight and the signed overlap sum into single Poisson
@@ -121,14 +130,18 @@ def _class_sums(params: SecurityParams):
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
     if pois[0] > 0.0:
         c = (params.m - 2 * params.w) * params.abs_alpha ** 2
-        signed = [float(pois[0])]
+        x = float(pois[0])
+        signed = [x]
         for t in range(1, len(pois)):
-            signed.append(signed[-1] * c / t)
+            x = x * c / t
+            signed.append(x)
     else:
         signed = pois * ((params.m - 2 * params.w) / params.m) ** np.arange(len(pois))
     residues = np.arange(len(pois)) % params.d
-    return (np.bincount(residues, pois, minlength=params.d),
-            np.bincount(residues, signed, minlength=params.d))
+    q = np.bincount(residues, pois, minlength=params.d)
+    s = np.bincount(residues, signed, minlength=params.d)
+    q.flags.writeable = s.flags.writeable = False
+    return q, s
 
 
 def qk_ak_finite(params: SecurityParams, k: int):

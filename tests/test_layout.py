@@ -16,11 +16,13 @@ from phasekey import fock, protocol
 from phasekey.encoding import BitString, codeword_fock, encode, encryption_channel_density
 from phasekey.evaluation import (
     NonlinearPhaseSpec,
+    cat_state_target,
     haar_random_unitary,
     interferometer_fock,
     kerr_cat_reference,
 )
 from phasekey.fock import (
+    CapacityError,
     FockVector,
     coherent_coefficients,
     coherent_fock,
@@ -181,6 +183,16 @@ class TestNonFiniteAlpha:
         psi = coherent_fock([alpha], n_max)
         np.testing.assert_array_equal(psi.amps, coherent_coefficients(alpha, n_max))
         assert psi.squared_norm() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1e200, -1e200j])
+    @pytest.mark.parametrize("build", [
+        coherent_coefficients, lambda a, n: coherent_fock([a], n), kerr_cat_reference,
+        cat_state_target], ids=["coherent_coefficients", "coherent_fock",
+                                "kerr_cat_reference", "cat_state_target"])
+    def test_overflowing_energy_is_a_capacity_error(self, alpha, build):
+        # |alpha|^2 overflows a double: the energy is infinite, like poisson_terms(inf)
+        with pytest.raises(CapacityError, match="at energy inf exceeds the cap"):
+            build(alpha, 3)
 
 
 def ref_qk_ak_enumeration(params, n_max):

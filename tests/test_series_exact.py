@@ -5,7 +5,8 @@ the stored CSV goldens.  The array forms must return exactly the same
 doubles (==, not approx) on a seeded grid of modes, weights, key counts
 and energies up to E = 700; above about 708 e^{-E} stops being a normal
 double and neither form is right (ROADMAP item 2), so nothing is asserted
-there.
+there.  The memoized series and class sums must also equal the references
+on a repeated call, be read-only and be keyed by every input.
 """
 
 import math
@@ -17,6 +18,7 @@ from phasekey.fock import HARD_CUTOFF_CAP, CapacityError, poisson_terms, truncat
 from phasekey.security import (
     SERIES_TAIL_EPS,
     SecurityParams,
+    _class_sums,
     encrypted_trace_distance,
     encrypted_trace_distance_limit,
     qk_ak_finite,
@@ -191,3 +193,62 @@ def test_qk_ak_finite_equals_reference_for_every_k():
         for k in range(p.d):
             pairs.append(((p, k), qk_ak_finite(p, k), ref_qk_ak(q, s, k)))
     assert _mismatches(pairs) == []
+
+
+# --- memoized series ---------------------------------------------------------------
+# poisson_terms and security._class_sums each hand every caller the same
+# cached arrays, so they must be read-only, keyed by every input, and equal
+# to the uncached reference on each call.
+
+def test_memoized_arrays_are_read_only():
+    terms = poisson_terms(3.0, SERIES_TAIL_EPS)
+    with pytest.raises(ValueError, match="read-only"):
+        terms[0] = 0.5
+    for sums in _class_sums(SecurityParams(m=3, d=4, abs_alpha=1.0, w=1)):
+        with pytest.raises(ValueError, match="read-only"):
+            sums[0] = 0.5
+
+
+def test_second_call_is_the_memoized_reference():
+    E = 123.456
+    first = poisson_terms(E, SERIES_TAIL_EPS)
+    assert poisson_terms(E, SERIES_TAIL_EPS) is first
+    want = ref_series(E, E, ref_truncation_bound(E, SERIES_TAIL_EPS)).tobytes()
+    assert first.tobytes() == want
+    assert poisson_terms(E, SERIES_TAIL_EPS).tobytes() == want
+    p = SecurityParams(m=5, d=7, abs_alpha=math.sqrt(E / 5), w=2)
+    assert _class_sums(p) is _class_sums(p)
+    for got, ref in zip(_class_sums(p), ref_class_sums(p)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_class_sums_are_keyed_by_every_parameter():
+    # all four share E = 1 (m |alpha|^2 is exact here) and so one cached series
+    variants = [SecurityParams(m=4, d=6, abs_alpha=0.5, w=1),
+                SecurityParams(m=1, d=6, abs_alpha=1.0, w=1),
+                SecurityParams(m=4, d=6, abs_alpha=0.5, w=3),
+                SecurityParams(m=4, d=5, abs_alpha=0.5, w=1)]
+    assert {p.E for p in variants} == {1.0}
+    for p in variants + variants:
+        got, want = _class_sums(p), ref_class_sums(p)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], p
+
+
+def test_series_are_keyed_by_tail_and_cap():
+    E = 30.0
+    for eps in (1e-10, 1e-14, 1e-10):
+        assert len(poisson_terms(E, eps)) == ref_truncation_bound(E, eps) + 1
+    for cap in (80, 200):
+        assert len(poisson_terms(E, 1e-12, cap)) == ref_truncation_bound(E, 1e-12, cap) + 1
+    with pytest.raises(CapacityError):  # the cutoff, 76, is held for the caps above
+        poisson_terms(E, 1e-12, 40)
+
+
+@pytest.mark.parametrize("args,error", [((math.inf,), CapacityError),
+                                        ((1.0, 0.0), ValueError),
+                                        ((1.0, 1.5), ValueError),
+                                        ((-1.0,), ValueError)])
+def test_errors_raise_on_every_call(args, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            poisson_terms(*args)
