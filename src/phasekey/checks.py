@@ -9,12 +9,13 @@ measurement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BitString, block_decomposition, encryption_channel_density
+from .encoding import BitString, apply_sign_flips, block_decomposition, encryption_channel_density
 from .fock import (
     coherent_fock,
     density_from_fock,
@@ -117,12 +118,16 @@ def _check_encrypted_support_basis() -> CheckResult:
 
 
 def _check_block_reconstruction() -> CheckResult:
+    # the paper's partition: rho_x = sum_j q_j |F_x g_j><F_x g_j|, F_x the sign flips of x
     alpha, m, d = 0.8, 2, 5
     n_max = truncation_bound(m * alpha ** 2, 1e-12)
     blocks, _ = block_decomposition(alpha, m, d, n_max)
-    rebuilt = sum(b.q_j * np.outer(b.gtilde.amps, b.gtilde.amps.conj()) for b in blocks)
-    rho = encryption_channel_density(BitString((0, 0)), alpha, d, n_max)
-    dev = float(np.abs(rebuilt - rho.entries).max())
+    dev = 0.0
+    for x in map(BitString, itertools.product((0, 1), repeat=m)):
+        flipped = [apply_sign_flips(b, x).amps for b in blocks]
+        rebuilt = sum(b.q_j * np.outer(g, g.conj()) for b, g in zip(blocks, flipped))
+        rho = encryption_channel_density(x, alpha, d, n_max)
+        dev = max(dev, float(np.abs(rebuilt - rho.entries).max()))
     return CheckResult("block-reconstruction-vs-channel-average", dev, 1e-9)
 
 

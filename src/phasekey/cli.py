@@ -7,7 +7,6 @@ failed, 3 a requested computation exceeds the dense-simulation capacity.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -226,7 +225,7 @@ def _resolve_circuit(spec: str, m: int) -> CircuitDescription:
     if path.is_file():
         try:
             return circuit_from_json(path.read_text())
-        except (json.JSONDecodeError, ValueError) as exc:
+        except ValueError as exc:  # bad JSON too: JSONDecodeError is a ValueError
             raise _UsageError(f"bad circuit file {spec}: {exc}") from None
     return _builtin_circuit(spec, m)
 

@@ -6,8 +6,10 @@ occupation tuple (z_1, ..., z_m) with z_1 most significant, which is
 exactly the index order produced by chained Kronecker products of
 single-mode vectors.  This module alone knows that layout: one cached,
 read-only index per grid behind occupation_array and total_photon_numbers,
-grid_size for its size without a huge power, and sector_tables for its
-fixed-total-photon blocks in the interferometer recursion.
+grid_size and block_entries for its sizes without a huge power,
+sector_tables for its fixed-total blocks, mode_overlap_norms for per-mode
+contractions, and mean_photon_number for the energy m|alpha|^2 that sets
+its cutoff (inf where a double overflows).
 """
 
 from __future__ import annotations
@@ -36,6 +38,14 @@ SECTOR_LEAK_TOL = 1e-12
 
 class CapacityError(Exception):
     """A requested computation exceeds the configured size caps."""
+
+
+def mean_photon_number(abs_alpha: float, modes: int) -> float:
+    """modes * abs_alpha ** 2 (m|alpha|^2), bit for bit; inf, with no warning, past a double."""
+    try:
+        return modes * abs_alpha ** 2
+    except OverflowError:  # the float power raises past |alpha| ~ 1.34e154
+        return math.inf
 
 
 def _poisson_start(E: float, root: int = 1):
@@ -68,10 +78,7 @@ def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    try:
-        E = abs(alpha) ** 2
-    except OverflowError:  # the float power raises past |alpha| ~ 1.3e154
-        E = math.inf
+    E = mean_photon_number(abs(alpha), 1)
     if E == math.inf:  # before _poisson_start, whose floor(E) would overflow too
         raise CapacityError(_TOO_LONG.format(DEFAULT_TRUNCATION_EPS, E, HARD_CUTOFF_CAP))
     b = np.zeros(n_max + 1, dtype=complex)
@@ -104,8 +111,8 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
 def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if E < 0.0:
-        raise ValueError("total energy must be nonnegative")
+    if not E >= 0.0:  # NaN too
+        raise ValueError(f"total energy must be nonnegative, got {E!r}")
     limit = 2 * hard_cap + 64
     if not E <= limit:  # inf too: the loop below would pass the limit before the mode
         raise CapacityError(_TOO_LONG.format(eps, E, hard_cap))
@@ -186,6 +193,14 @@ def sector_sizes(n_max: int, modes: int) -> np.ndarray:
     return sizes
 
 
+def block_entries(n_max: int, modes: int, cap: int) -> int:
+    """min(sum_n d_n^2, cap + 1) over the grid's block sizes d_n = sector_sizes(n_max, modes)."""
+    size = grid_size(n_max, modes, cap)  # entries >= amplitudes: sum only a grid within the cap
+    if n_max and size <= cap:
+        size = min(int(np.sum(sector_sizes(n_max, modes) ** 2)), cap + 1)
+    return size
+
+
 @functools.lru_cache(maxsize=8)
 def sector_tables(n_max: int, modes: int):
     """(order, starts, roots, down, peel): the grid's fixed-total blocks, read-only.
@@ -244,6 +259,13 @@ def coherent_fock(amps: "np.ndarray | list | tuple", n_max: int) -> FockVector:
     for a in amps:
         vec = np.kron(vec, coherent_coefficients(a, n_max))
     return FockVector(cutoff=n_max, modes=len(amps), amps=vec)
+
+
+def mode_overlap_norms(psi: FockVector, single: np.ndarray) -> np.ndarray:
+    """||<single|_j psi|| for each mode j, single holding one mode's cutoff+1 coefficients."""
+    tensor = psi.amps.reshape((psi.cutoff + 1,) * psi.modes)
+    return np.array([np.linalg.norm(np.tensordot(single.conj(), tensor, axes=([0], [mode])))
+                     for mode in range(psi.modes)])
 
 
 def overlap(u: FockVector, v: FockVector) -> complex:

@@ -6,7 +6,8 @@ circuit description.  The ciphertext is the encrypted state itself: an
 AmplitudeVector, or a FockVector, capped by FOCK_SIZE_CAP, once a
 nonlinear gate forces the number basis.  The evaluator applies the
 circuit without the key.  Decryption is the inverse rotation followed by
-a per-mode decision, so its cost never depends on the circuit.
+a per-mode decision, so its cost never depends on the circuit.  The
+energy, size and per-mode overlaps of the number basis come from fock.
 
 Wire formats are single-line JSON with a fixed field order and floats
 printed at 17 significant digits, so byte-identical transcripts are
@@ -43,12 +44,11 @@ from .evaluation import (
     interferometer_fock,
     nonlinear_phase_evolve,
 )
-from .fock import (CapacityError, FockVector, coherent_coefficients, coherent_fock,
-                   grid_size, sector_sizes, truncation_bound)
+from .fock import (CapacityError, FockVector, block_entries, coherent_coefficients, coherent_fock,
+                   mean_photon_number, mode_overlap_norms, truncation_bound)
 
-# Largest number-basis grid the evaluator lifts to or accepts, in entries
-# sum_n d_n^2 of its fixed-total blocks (d_n occupations of total n): they
-# set interferometer_fock's work and are at least the (n_max+1)^m amplitudes.
+# Largest number-basis grid the evaluator lifts to or accepts, in entries of
+# its fixed-total blocks (fock.block_entries), which set interferometer_fock's work.
 FOCK_SIZE_CAP = 2 ** 22
 
 # Fock-level decode declares a mode undecodable when it overlaps neither
@@ -248,11 +248,7 @@ def client_encrypt(x: BitString, alpha: complex, key: PhaseKey) -> CipherText:
 
 def _check_fock_size(n_max: int, m: int) -> None:
     """CapacityError when the (n_max+1)^m grid has over FOCK_SIZE_CAP block entries."""
-    # block entries >= amplitudes, so only a grid within the cap is summed
-    size = grid_size(n_max, m, FOCK_SIZE_CAP)
-    if n_max and size <= FOCK_SIZE_CAP:
-        size = int(np.sum(sector_sizes(n_max, m) ** 2))
-    if size > FOCK_SIZE_CAP:
+    if block_entries(n_max, m, FOCK_SIZE_CAP) > FOCK_SIZE_CAP:
         raise CapacityError(f"the number basis on {n_max + 1}^{m} occupations exceeds "
                             f"the cap of {FOCK_SIZE_CAP} block entries")
 
@@ -293,29 +289,19 @@ def client_decrypt(ct: CipherText, key: PhaseKey) -> CipherText:
     return phase_rotate_fock(ct, -key.theta)
 
 
-def _decode_fock(psi: FockVector, alpha: complex) -> BitString:
-    tensor = psi.amps.reshape((psi.cutoff + 1,) * psi.modes)
-    candidates = [coherent_coefficients(alpha, psi.cutoff),
-                  coherent_coefficients(-alpha, psi.cutoff)]
-    bits = []
-    for mode in range(psi.modes):
-        scores = [np.linalg.norm(np.tensordot(c.conj(), tensor, axes=([0], [mode])))
-                  for c in candidates]
-        if max(scores) < DECODE_OVERLAP_FLOOR:
-            raise UndecodableError(
-                f"mode {mode} overlaps neither candidate amplitude above "
-                f"{DECODE_OVERLAP_FLOOR:g}")
-        bits.append(0 if scores[0] >= scores[1] else 1)
-    return BitString(tuple(bits))
-
-
 def _decode(plain: CipherText, alpha: complex) -> BitString:
     """One bit per mode of a plaintext state, by the rules of client_decrypt_decode."""
     if alpha == 0:
         raise UndecodableError("the code is degenerate at alpha = 0")
     if isinstance(plain, AmplitudeVector):
         return BitString(tuple(0 if abs(a - alpha) <= abs(a + alpha) else 1 for a in plain.amps))
-    return _decode_fock(plain, alpha)
+    plus, minus = (mode_overlap_norms(plain, coherent_coefficients(a, plain.cutoff))
+                   for a in (alpha, -alpha))
+    for mode, pair in enumerate(zip(plus, minus)):
+        if max(pair) < DECODE_OVERLAP_FLOOR:
+            raise UndecodableError(f"mode {mode} overlaps neither candidate amplitude above "
+                                   f"{DECODE_OVERLAP_FLOOR:g}")
+    return BitString(tuple(0 if p >= q else 1 for p, q in zip(plus, minus)))
 
 
 def client_decrypt_decode(ct: CipherText, key: PhaseKey, alpha: complex) -> BitString:
@@ -398,13 +384,8 @@ def run_protocol(x: BitString, alpha: complex, d: int, circuit: CircuitDescripti
     if alpha == 0:
         flags.append("degenerate code: alpha = 0")
 
-    n_max = None
-    if circuit.has_nonlinear():
-        try:
-            # one shared cutoff keeps the encrypted and reference paths comparable
-            n_max = truncation_bound(m * abs(alpha) ** 2)
-        except OverflowError:
-            raise CapacityError(f"m|alpha|^2 overflows at |alpha| = {abs(alpha):g}") from None
+    # one shared cutoff keeps the encrypted and reference paths comparable
+    n_max = truncation_bound(mean_photon_number(abs(alpha), m)) if circuit.has_nonlinear() else None
 
     sent = client_encrypt(x, alpha, key)
     returned = evaluator_apply(circuit, sent, n_max=n_max)

@@ -38,6 +38,7 @@ from .encoding import EMPTY_BLOCK_FLOOR, BitString, codeword_fock
 from .fock import (
     coherent_fock,
     density_from_fock,
+    mean_photon_number,
     occupation_array,
     poisson_terms,
     total_photon_numbers,
@@ -71,11 +72,7 @@ class SecurityParams:
             raise ValueError("m must be at least 1")
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        try:
-            E = self.E
-        except OverflowError:  # the float power raises past |alpha| ~ 1.3e154
-            E = math.inf
-        if not math.isfinite(E):
+        if not math.isfinite(self.E):
             raise ValueError(f"|alpha| must be finite with m|alpha|^2 a finite double, "
                              f"got |alpha| = {self.abs_alpha!r}")
         if self.abs_alpha < 0:
@@ -85,7 +82,7 @@ class SecurityParams:
 
     @property
     def E(self) -> float:
-        return self.m * self.abs_alpha ** 2
+        return mean_photon_number(self.abs_alpha, self.m)
 
 
 @dataclass(frozen=True)
@@ -215,7 +212,9 @@ def unencrypted_trace_distance(w: int, abs_alpha: float) -> float:
     """sqrt(1 - e^{-4 w |alpha|^2}), the plain codeword-pair distance."""
     if w < 0:
         raise ValueError("w must be nonnegative")
-    return math.sqrt(-math.expm1(-4.0 * w * abs_alpha ** 2))
+    if math.isnan(abs_alpha):
+        raise ValueError("|alpha| must be a number, got nan")
+    return math.sqrt(-math.expm1(-4.0 * w * mean_photon_number(abs_alpha, 1)))
 
 
 def suppression_ratio(params: SecurityParams) -> SuppressionRatio:
@@ -254,7 +253,7 @@ def encrypted_distance_oracle(u: BitString, v: BitString, alpha: float, d: int,
     if d < 1:
         raise ValueError("key space size d must be at least 1")
     t = total_photon_numbers(n_max, len(u))
-    n_totals = len(u) * n_max + 1
+    n_totals = int(t.max()) + 1
     a = codeword_fock(u, alpha, n_max).amps
     b = codeword_fock(v, alpha, n_max).amps
     aa = np.bincount(t, (a.conj() * a).real, n_totals)
@@ -296,7 +295,9 @@ def pgm_closed_form(abs_alpha: float, modes: int = 1) -> PgmResult:
     u^2 log2 u + v^2 log2 v with u, v = sqrt(a_+) pm sqrt(a_-), capped at
     the one bit a mode carries.
     """
-    B = math.exp(-2.0 * abs_alpha ** 2)
+    if math.isnan(abs_alpha):
+        raise ValueError("|alpha| must be a number, got nan")
+    B = math.exp(-2.0 * mean_photon_number(abs_alpha, 1))
     a_plus = 0.5 * (1.0 + B)
     a_minus = 0.5 * (1.0 - B)
     u = math.sqrt(a_plus) + math.sqrt(a_minus)

@@ -428,6 +428,15 @@ class TestProtocolDemo:
         assert rc == 1
         assert "bad circuit file" in capsys.readouterr().err
 
+    def test_well_formed_json_bad_circuit_is_usage(self, tmp_path, capsys):
+        # one except ValueError catches this and, as JSONDecodeError, malformed JSON
+        circuit = tmp_path / "bad.json"
+        circuit.write_text('{"type":"circuit","gates":[{"kind":"x"}]}')
+        rc = run_cli(["protocol-demo", "--m", "1", "--circuit", str(circuit)])
+        assert rc == 1
+        assert "bad circuit file" in capsys.readouterr().err
+        assert not hasattr(cli, "json")
+
 
 class TestSubprocessSurface:
     def test_module_help_runs(self):

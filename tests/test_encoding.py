@@ -199,13 +199,16 @@ class TestBlockDecomposition:
                 assert got == 0.0
 
     def test_reconstruction_matches_channel(self):
+        # rho_x = sum_j q_j |F_x g_j><F_x g_j| for every x, F_x the sign flips of x
         n_max = truncation_bound(2 * 0.8 ** 2, 1e-12)
         blocks, _ = block_decomposition(0.8, 2, 5, n_max)
-        rebuilt = np.zeros(((n_max + 1) ** 2, (n_max + 1) ** 2), dtype=complex)
-        for b in blocks:
-            rebuilt += b.q_j * np.outer(b.gtilde.amps, b.gtilde.amps.conj())
-        rho = encryption_channel_density(BitString((0, 0)), 0.8, 5, n_max)
-        assert np.abs(rebuilt - rho.entries).max() <= 1e-9
+        for x in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            rebuilt = np.zeros(((n_max + 1) ** 2, (n_max + 1) ** 2), dtype=complex)
+            for b in blocks:
+                g = apply_sign_flips(b, BitString(x)).amps
+                rebuilt += b.q_j * np.outer(g, g.conj())
+            rho = encryption_channel_density(BitString(x), 0.8, 5, n_max)
+            assert np.abs(rebuilt - rho.entries).max() <= 1e-9
 
     def test_single_mode_large_d_gives_poisson_weights(self):
         n_max = truncation_bound(1.0, 1e-12)

@@ -17,6 +17,7 @@ from phasekey.fock import (
     density_from_fock,
     occupation_array,
     overlap,
+    poisson_terms,
     sector_sizes,
     total_photon_numbers,
     trace_distance_numeric,
@@ -110,6 +111,17 @@ class TestTruncationBound:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             truncation_bound(1.0, 0.0)
+
+    @pytest.mark.parametrize("series", [poisson_terms, truncation_bound])
+    def test_nan_energy_is_a_value_error(self, series):
+        # not CapacityError: the CLI would report exit 3, capacity exceeded
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            series(math.nan)
+
+    @pytest.mark.parametrize("series", [poisson_terms, truncation_bound])
+    def test_infinite_energy_stays_a_capacity_error(self, series):
+        with pytest.raises(CapacityError, match="at energy inf"):
+            series(math.inf)
 
 
 class TestIndexing:

@@ -2,17 +2,20 @@
 
 Covers the cached occupation index, the capped grid size, the sector
 tables of the interferometer recursion, the rejection of impossible grids
-and non-finite amplitudes, and the callers that now read fock instead of
-doing their own grid arithmetic.
+and non-finite amplitudes, the per-mode contraction, block-entry count and
+overflow-safe energy that fock owns, and the callers that now read fock
+instead of doing their own grid arithmetic.
 """
 
+import inspect
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from phasekey import fock, protocol
+from phasekey import checks, cli, encoding, evaluation, fock, protocol, security
 from phasekey.encoding import BitString, codeword_fock, encode, encryption_channel_density
 from phasekey.evaluation import (
     NonlinearPhaseSpec,
@@ -24,10 +27,14 @@ from phasekey.evaluation import (
 from phasekey.fock import (
     CapacityError,
     FockVector,
+    block_entries,
     coherent_coefficients,
     coherent_fock,
     grid_size,
+    mean_photon_number,
+    mode_overlap_norms,
     occupation_array,
+    sector_sizes,
     sector_tables,
     total_photon_numbers,
 )
@@ -247,3 +254,81 @@ class TestRunProtocolDecryptsOnce:
         monkeypatch.setattr(protocol, "client_decrypt", counted)
         assert run_protocol(x, 0.9, 50, circuit, seed=7).to_jsonl() == expected
         assert len(calls) == 1
+
+
+def ref_mode_overlap_norms(psi, single):
+    """The per-mode reshape and tensordot the protocol decoder did before fock owned it."""
+    tensor = psi.amps.reshape((psi.cutoff + 1,) * psi.modes)
+    return [np.linalg.norm(np.tensordot(single.conj(), tensor, axes=([0], [mode])))
+            for mode in range(psi.modes)]
+
+
+class TestModeOverlapNorms:
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", range(7))
+    def test_equals_the_decoder_reshape(self, cutoff, modes):
+        rng = np.random.default_rng(100 * modes + cutoff)
+        dim = (cutoff + 1) ** modes
+        psi = FockVector(cutoff=cutoff, modes=modes,
+                         amps=rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        single = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
+        got = mode_overlap_norms(psi, single)
+        assert got.shape == (modes,)
+        assert list(got) == ref_mode_overlap_norms(psi, single)
+
+    def test_balanced_kerr_cat_ties_and_decodes_to_zero(self):
+        alpha = 1.5
+        cat = kerr_cat_reference(alpha, 20)
+        plus = mode_overlap_norms(cat, coherent_coefficients(alpha, 20))
+        minus = mode_overlap_norms(cat, coherent_coefficients(-alpha, 20))
+        assert plus[0] == pytest.approx(minus[0], rel=1e-12)
+        assert protocol._decode(cat, alpha) == BitString((0,))
+
+
+class TestBlockEntries:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cap", [0, 8, 100, 10 ** 6])
+    def test_is_the_capped_sum_of_squared_sector_sizes(self, n_max, modes, cap):
+        want = min(int(np.sum(sector_sizes(n_max, modes) ** 2)), cap + 1)
+        assert block_entries(n_max, modes, cap) == want
+
+    def test_huge_mode_count_is_fast(self):
+        start = time.perf_counter()
+        assert block_entries(1, 10 ** 7, 2 ** 22) == 2 ** 22 + 1
+        assert block_entries(0, 10 ** 7, 5) == 1
+        assert time.perf_counter() - start < 1.0
+
+
+class TestMeanPhotonNumber:
+    def test_bitwise_equal_to_the_expression(self):
+        rng = np.random.default_rng(13)
+        for a, m in zip(10.0 ** rng.uniform(-8, 150, 500), rng.integers(1, 1000, 500)):
+            a, m = float(a), int(m)
+            got = mean_photon_number(a, m)
+            assert type(got) is float and got == m * a ** 2
+
+    @pytest.mark.parametrize("abs_alpha, modes", [(1e200, 1), (1e154, 10)],
+                             ids=["power-raises", "product-overflows"])
+    def test_overflow_is_inf_without_warning(self, abs_alpha, modes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mean_photon_number(abs_alpha, modes) == math.inf
+
+    def test_run_protocol_overflow_has_the_series_wording(self):
+        with pytest.raises(CapacityError, match="at energy inf exceeds the cap"):
+            run_protocol(BitString((0,)), 1e200, 5, CircuitDescription(
+                gates=(NonlinearPhaseSpec(terms={(2,): 1.0}),)), seed=0)
+
+
+@pytest.mark.parametrize("module", [checks, cli, encoding, evaluation, protocol, security])
+def test_no_layout_arithmetic_outside_fock(module):
+    source = inspect.getsource(module)
+    for banned in (".reshape(", "sector_sizes", "* n_max + 1"):
+        assert banned not in source
+
+
+@pytest.mark.parametrize("owner", [SecurityParams, coherent_coefficients, run_protocol])
+def test_energy_comes_from_mean_photon_number(owner):
+    source = inspect.getsource(owner)
+    assert "mean_photon_number(" in source and "OverflowError" not in source

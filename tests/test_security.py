@@ -261,6 +261,14 @@ class TestUnencryptedDistance:
         vals = [unencrypted_trace_distance(w, 0.6) for w in range(8)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    def test_nan_alpha_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nan"):
+            unencrypted_trace_distance(1, math.nan)
+
+    @pytest.mark.parametrize("alpha", [math.inf, 1e200])
+    def test_infinite_energy_is_distance_one(self, alpha):
+        assert unencrypted_trace_distance(1, alpha) == 1.0
+
     @pytest.mark.parametrize("alpha,w,m", [(1.0, 1, 1), (0.7, 1, 2), (0.7, 2, 2)])
     def test_matches_numeric_pure_state_distance(self, alpha, w, m):
         from phasekey.encoding import codeword_fock
@@ -309,6 +317,16 @@ class TestPgm:
         assert res.a_plus == pytest.approx(0.5676676416183064, abs=1e-15)
         assert res.a_minus == pytest.approx(0.43233235838169365, abs=1e-15)
         assert res.i_single == pytest.approx(0.9576632521445037, abs=1e-13)
+
+    def test_nan_alpha_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nan"):
+            pgm_closed_form(math.nan)
+
+    @pytest.mark.parametrize("alpha", [math.inf, 1e200])
+    def test_infinite_energy_gives_one_bit(self, alpha):
+        res = pgm_closed_form(alpha, modes=3)
+        assert res.i_single == 1.0 and res.i_total == 3.0
+        assert res.a_plus == res.a_minus == 0.5 and res.p_diff == 0.0
 
     def test_total_scales_with_modes(self):
         res = pgm_closed_form(0.8, modes=7)
