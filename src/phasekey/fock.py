@@ -94,11 +94,15 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
     """Poisson(E) probabilities e^{-E} E^t / t! for t = 0..n, n the cutoff.
 
     n is the smallest count whose tail mass beyond n is below eps.  The
-    terms come from the recurrence p_t = p_{t-1} E / t from the first
-    normal one: e^{-E} at t = 0 up to E ~ 708.4, which keeps the goldens'
-    bits.  Past that, the terms below the start are 0 and the kept ones are
-    divided by their sum, which rounding in the log-form start would lift
-    above 1.  Raises CapacityError when n would exceed hard_cap.
+    terms follow p_t = p_{t-1} E / t from the first normal one.  Up to
+    E ~ 708.4 that is e^{-E} at t = 0 and a scalar loop, (p E) / t left to
+    right, which keeps the bits the goldens pin.  Past that, no golden pins
+    them, and a loop of thousands of steps would cost most of a sweep row:
+    the terms are one np.cumprod of E / t seeded with the first normal term
+    (same cutoff as the loop, terms within 1e-12 relative), the terms below
+    the start are 0 and the kept ones are divided by their sum, which
+    rounding in the log-form start would lift above 1.  Raises
+    CapacityError when n would exceed hard_cap.
 
     Each series is computed once per process: the result is memoized, for
     the last _SERIES_CACHE_SIZE (E, eps, hard_cap), and returned read-only
@@ -120,13 +124,23 @@ def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     # distribution mode, then form tails by summing small terms first so
     # the tail values carry no cancellation error.
     start, x = _poisson_start(E)
-    terms = [x]
-    t = start
-    while (x >= eps * 1e-6 or t <= E) and t <= limit:
-        t += 1
-        x = x * E / t
-        terms.append(x)
-    terms = np.asarray(terms)
+    if start:
+        # one cumulative product over the whole window, cut where the loop
+        # below would stop: the first t > E whose term is below eps * 1e-6
+        t = np.arange(start + 1, limit + 2)
+        terms = np.cumprod(np.concatenate(([x], E / t)))
+        stops = np.flatnonzero((terms[1:] < eps * 1e-6) & (t > E))
+        t = int(t[stops[0]]) if len(stops) else limit + 1
+        terms = terms[:t - start + 1]
+    else:
+        # the goldens pin these bits: x E / t, left to right, from e^{-E}
+        terms = [x]
+        t = start
+        while (x >= eps * 1e-6 or t <= E) and t <= limit:
+            t += 1
+            x = x * E / t
+            terms.append(x)
+        terms = np.asarray(terms)
     # tails[j] = P(total >= start + j); the mass beyond start + j is tails[j + 1]
     tails = np.cumsum(terms[::-1])[::-1]
     below = np.flatnonzero(tails[1:] < eps)

@@ -120,9 +120,11 @@ def _class_sums(params: SecurityParams):
     Grouping the occupation tuples of a class by their total photon number
     t turns both the weight and the signed overlap sum into single Poisson
     series: q_k collects p_t = e^{-E} E^t / t! over t = k (mod d), the signed
-    sum collects e^{-E} c^t / t! with c = (m - 2w)|alpha|^2.  That is the
-    recurrence from e^{-E} the goldens pin while poisson_terms starts at
-    t = 0, else p_t r^t with r = (m - 2w)/m, which keeps A = +-1 at w = 0, m.
+    sum collects e^{-E} c^t / t! with c = (m - 2w)|alpha|^2.  While
+    poisson_terms starts at t = 0 (E up to ~708.4) that is a scalar loop
+    from e^{-E}, whose bits the goldens pin.  Past it, it is p_t r^t with
+    r = (m - 2w)/m and r^t one np.cumprod of r, which keeps A = +-1 exact
+    at w = 0 and w = m.
     """
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
     if pois[0] > 0.0:
@@ -133,7 +135,8 @@ def _class_sums(params: SecurityParams):
             x = x * c / t
             signed.append(x)
     else:
-        signed = pois * ((params.m - 2 * params.w) / params.m) ** np.arange(len(pois))
+        r = (params.m - 2 * params.w) / params.m
+        signed = pois * np.cumprod(np.concatenate(([1.0], np.full(len(pois) - 1, r))))
     residues = np.arange(len(pois)) % params.d
     q = np.bincount(residues, pois, minlength=params.d)
     s = np.bincount(residues, signed, minlength=params.d)
@@ -214,6 +217,8 @@ def unencrypted_trace_distance(w: int, abs_alpha: float) -> float:
         raise ValueError("w must be nonnegative")
     if math.isnan(abs_alpha):
         raise ValueError("|alpha| must be a number, got nan")
+    if w == 0:  # equal codewords, where 0 * inf would give NaN at |alpha|^2 = inf
+        return 0.0
     return math.sqrt(-math.expm1(-4.0 * w * mean_photon_number(abs_alpha, 1)))
 
 
@@ -292,8 +297,9 @@ def pgm_closed_form(abs_alpha: float, modes: int = 1) -> PgmResult:
     a_pm = (1 pm e^{-2|alpha|^2})/2 are the eigenvalues of the equal
     mixture; the PGM identifies the state with probability
     (sqrt(a_+) + sqrt(a_-))^2 / 2, and the per-mode information is
-    u^2 log2 u + v^2 log2 v with u, v = sqrt(a_+) pm sqrt(a_-), capped at
-    the one bit a mode carries.
+    u^2 log2 u + v^2 log2 v with u, v = sqrt(a_+) pm sqrt(a_-).  The
+    probability is capped at 1 and the information at the one bit a mode
+    carries.
     """
     if math.isnan(abs_alpha):
         raise ValueError("|alpha| must be a number, got nan")
@@ -302,13 +308,13 @@ def pgm_closed_form(abs_alpha: float, modes: int = 1) -> PgmResult:
     a_minus = 0.5 * (1.0 - B)
     u = math.sqrt(a_plus) + math.sqrt(a_minus)
     v = math.sqrt(a_plus) - math.sqrt(a_minus)
-    p_same = 0.5 * u * u
     p_diff = 0.5 * v * v
     i_single = u * u * math.log2(u)
     if v > 0.0:
         i_single += v * v * math.log2(v)
-    # rounding lifts the sum to 1 + 4e-16 once the states are orthogonal to
-    # double precision (|alpha| >~ 5)
+    # rounding lifts p_same to 1 + 2e-16 and the sum to 1 + 4e-16 once the
+    # states are orthogonal to double precision (|alpha| >~ 4.5)
+    p_same = min(0.5 * u * u, 1.0)
     i_single = min(i_single, 1.0)
     return PgmResult(a_plus=a_plus, a_minus=a_minus, p_same=p_same, p_diff=p_diff,
                      i_single=i_single, i_total=modes * i_single)

@@ -269,6 +269,11 @@ class TestUnencryptedDistance:
     def test_infinite_energy_is_distance_one(self, alpha):
         assert unencrypted_trace_distance(1, alpha) == 1.0
 
+    @pytest.mark.parametrize("alpha", [math.inf, 1e200])
+    def test_zero_weight_at_infinite_energy_is_distance_zero(self, alpha):
+        # 0 * inf in the exponent would give NaN
+        assert unencrypted_trace_distance(0, alpha) == 0.0
+
     @pytest.mark.parametrize("alpha,w,m", [(1.0, 1, 1), (0.7, 1, 2), (0.7, 2, 2)])
     def test_matches_numeric_pure_state_distance(self, alpha, w, m):
         from phasekey.encoding import codeword_fock
@@ -366,6 +371,13 @@ class TestPgm:
 
     def test_near_orthogonal_amplitude(self):
         assert pgm_closed_form(3.0).i_single >= 0.999
+
+    @pytest.mark.parametrize("alpha", [4.5, 5.0, 5.5, 6.0, math.inf])
+    def test_orthogonal_pair_success_probability_is_one(self, alpha):
+        # a_+ and a_- both round to 1/2 here, and (sqrt(a_+) + sqrt(a_-))^2 / 2
+        # rounds to 1 + 2^-52 unless capped
+        res = pgm_closed_form(alpha)
+        assert res.p_same == 1.0 and res.p_diff == 0.0 and res.i_single == 1.0
 
     def test_information_increases_with_amplitude(self):
         vals = [pgm_closed_form(a).i_single for a in np.linspace(0, 3, 31)]

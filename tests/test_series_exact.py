@@ -3,18 +3,28 @@
 The reference functions below are the loop implementations that produced
 the stored CSV goldens.  The array forms must return exactly the same
 doubles (==, not approx) on a seeded grid of modes, weights, key counts
-and energies up to E = 700; above about 708 e^{-E} stops being a normal
-double and neither form is right (ROADMAP item 2), so nothing is asserted
-there.  The memoized series and class sums must also equal the references
-on a repeated call, be read-only and be keyed by every input.
+and energies up to E = 700, and at the edge of the e^{-E} underflow
+(E = 705 and -ln of the smallest normal double).  Past that edge the
+series start at their first normal term and are cumulative products; there
+the cutoffs and CapacityError cases must equal those of the scalar loop
+they replace, and the terms and class sums must agree within 1e-12.  The
+memoized series and class sums must also equal the references on a
+repeated call, be read-only and be keyed by every input.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from phasekey.fock import HARD_CUTOFF_CAP, CapacityError, poisson_terms, truncation_bound
+from phasekey.fock import (
+    HARD_CUTOFF_CAP,
+    CapacityError,
+    _poisson_start,
+    poisson_terms,
+    truncation_bound,
+)
 from phasekey.security import (
     SERIES_TAIL_EPS,
     SecurityParams,
@@ -252,3 +262,157 @@ def test_errors_raise_on_every_call(args, error):
     for _ in range(2):
         with pytest.raises(error):
             poisson_terms(*args)
+
+
+# --- past the e^{-E} underflow -------------------------------------------------------
+# Past UNDERFLOW_E = -ln(smallest normal double) ~ 708.4, poisson_terms is one
+# cumulative product from the first normal term and the signed class series
+# p_t r^t takes r^t as a cumulative product of r.  The references are the
+# scalar loop that built the series there before and the r ** t form of the
+# signed series.
+
+UNDERFLOW_E = -math.log(sys.float_info.min)
+ABOVE_UNDERFLOW_E = math.nextafter(UNDERFLOW_E, math.inf)
+TERM_RTOL = 1e-12
+# terms below it are not compared relatively: near the subnormals a product
+# keeps no relative precision
+TERM_FLOOR = 1e-300
+
+
+def ref_poisson_terms_loop(E, eps, hard_cap=HARD_CUTOFF_CAP):
+    """poisson_terms as a scalar loop x E / t from the first normal term."""
+    limit = 2 * hard_cap + 64
+    start, x = _poisson_start(E)
+    terms = [x]
+    t = start
+    while (x >= eps * 1e-6 or t <= E) and t <= limit:
+        t += 1
+        x = x * E / t
+        terms.append(x)
+    terms = np.asarray(terms)
+    tails = np.cumsum(terms[::-1])[::-1]
+    below = np.flatnonzero(tails[1:] < eps)
+    if t > limit or len(below) == 0 or start + below[0] > hard_cap:
+        raise CapacityError("cap")
+    kept = terms[:below[0] + 1]
+    return np.concatenate((np.zeros(start), kept / kept.sum()))
+
+
+def _series_or_error(fn, E, eps):
+    try:
+        return fn(E, eps)
+    except CapacityError:
+        return None
+
+
+def _large_energies(seed, count, hi):
+    """count log-uniform energies in (UNDERFLOW_E, hi], the first double above the edge first."""
+    rng = np.random.default_rng(seed)
+    draws = np.exp(rng.uniform(math.log(ABOVE_UNDERFLOW_E), math.log(hi), count - 1))
+    return [ABOVE_UNDERFLOW_E] + [float(E) for E in draws]
+
+
+# up to the largest energy poisson_terms accepts at the default cap
+LARGE_E = _large_energies(20261019, 2000, 2 * HARD_CUTOFF_CAP + 64)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12, 1e-14])
+def test_large_energy_series_equal_the_loop(eps):
+    mismatches = []
+    capacity_errors = 0
+    for E in LARGE_E:
+        want = _series_or_error(ref_poisson_terms_loop, E, eps)
+        got = _series_or_error(poisson_terms, E, eps)
+        if want is None or got is None:
+            capacity_errors += want is None
+            if got is not want:
+                mismatches.append((E, got is None, want is None))
+            continue
+        big = want > TERM_FLOOR
+        if (len(got) != len(want) or truncation_bound(E, eps) != len(want) - 1
+                or not np.all(np.abs(got[big] - want[big]) <= TERM_RTOL * want[big])):
+            mismatches.append((E, len(got), len(want)))
+    assert mismatches == []
+    # both sides of the cap are covered
+    assert 0 < capacity_errors < len(LARGE_E) - 100
+
+
+def _large_energy_class_sum_grid():
+    """SecurityParams past the underflow with w in {0, m, m/2, random} and d from 1 to 1000."""
+    rng = np.random.default_rng(20261020)
+    points = []
+    # past E ~ 3600 the tail-1e-14 cutoff passes the default cap
+    for E in _large_energies(11, 40, 3500.0):
+        m = int(rng.integers(1, 201))
+        d = [1, 2, 3, int(rng.integers(4, 1001))][int(rng.integers(4))]
+        for w in {0, m, m // 2, int(rng.integers(0, m + 1))}:
+            points.append(SecurityParams(m=m, d=d, abs_alpha=math.sqrt(E / m), w=w))
+    return points
+
+
+def test_large_energy_class_sums_equal_the_power_form():
+    mismatches = []
+    for p in _large_energy_class_sum_grid():
+        pois = poisson_terms(p.E, SERIES_TAIL_EPS)
+        assert pois[0] == 0.0  # past the underflow
+        signed = pois * ((p.m - 2 * p.w) / p.m) ** np.arange(len(pois))
+        residues = np.arange(len(pois)) % p.d
+        q_want = np.bincount(residues, pois, minlength=p.d)
+        s_want = np.bincount(residues, signed, minlength=p.d)
+        scale = np.bincount(residues, np.abs(signed), minlength=p.d)
+        q, s = _class_sums(p)
+        if 2 * p.w in (0, p.m, 2 * p.m):  # r = 1, 0 or -1: every r^t is exact
+            ok = q.tobytes() == q_want.tobytes() and s.tobytes() == s_want.tobytes()
+        else:
+            ok = (q.tobytes() == q_want.tobytes()
+                  and np.all(np.abs(s - s_want) <= TERM_RTOL * scale + TERM_FLOOR))
+        if not ok:
+            mismatches.append(p)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("d", [2, 8, 1000])
+def test_large_energy_complements_keep_unit_overlaps(d):
+    # w = 0 and w = m at even d: every present block has A_k = +-1 exactly
+    for w in (0, 40):
+        p = SecurityParams(m=40, d=d, abs_alpha=math.sqrt(2000.0 / 40), w=w)
+        overlaps = {qk_ak_finite(p, k)[1] for k in range(d)}
+        assert overlaps == ({1.0} if w == 0 else {1.0, -1.0})
+        assert encrypted_trace_distance(p) == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12, 1e-14])
+def test_series_at_the_underflow_edge(eps):
+    # e^{-E} is still normal at 705 and at UNDERFLOW_E: the loop from t = 0, bit for bit
+    for E in (705.0, UNDERFLOW_E):
+        n = ref_truncation_bound(E, eps)
+        assert truncation_bound(E, eps) == n
+        assert poisson_terms(E, eps).tobytes() == ref_series(E, E, n).tobytes()
+    # one double above, it is not: the series starts at t = 1
+    got = poisson_terms(ABOVE_UNDERFLOW_E, eps)
+    want = ref_poisson_terms_loop(ABOVE_UNDERFLOW_E, eps)
+    assert got[0] == 0.0
+    assert len(got) == len(want) == ref_truncation_bound(ABOVE_UNDERFLOW_E, eps) + 1
+    assert np.all(np.abs(got - want) <= TERM_RTOL * want)
+
+
+def _at_most(E, m):
+    """The largest |alpha| with m |alpha|^2 <= E."""
+    abs_alpha = math.sqrt(E / m)
+    while m * abs_alpha ** 2 > E:
+        abs_alpha = math.nextafter(abs_alpha, 0.0)
+    return abs_alpha
+
+
+def test_closed_forms_at_the_underflow_edge_equal_reference():
+    points = [SecurityParams(m=m, d=d, abs_alpha=_at_most(E, m), w=w)
+              for E in (705.0, UNDERFLOW_E) for m, w in ((1, 1), (7, 3), (40, 20), (40, 40))
+              for d in (2, 3, 1000)]
+    assert all(p.E <= UNDERFLOW_E for p in points)
+    pairs = []
+    for p in points:
+        q, s = ref_class_sums(p)
+        pairs.append((("distance", p), encrypted_trace_distance(p), ref_distance(p)))
+        pairs.append((("limit", p), encrypted_trace_distance_limit(p), ref_limit(p)))
+        pairs += [(("qk_ak", p, k), qk_ak_finite(p, k), ref_qk_ak(q, s, k)) for k in range(p.d)]
+    assert _mismatches(pairs) == []
