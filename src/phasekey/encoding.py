@@ -86,16 +86,21 @@ class PhaseKey:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeVector:
-    """Mode amplitudes of a product of coherent states."""
+    """Mode amplitudes of a product of coherent states.
+
+    amps is a read-only copy of the values given, so a later write to the
+    caller's array cannot put a non-finite amplitude past the check.
+    """
 
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.atleast_1d(np.asarray(self.amps, dtype=complex))
+        amps = np.atleast_1d(np.array(self.amps, dtype=complex))
         if amps.ndim != 1 or len(amps) < 1:
             raise ValueError("amplitudes must form a nonempty vector")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
+        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
     @property

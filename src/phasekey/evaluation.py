@@ -27,12 +27,17 @@ UNITARITY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Interferometer:
-    """Passive linear-optical element: an m x m unitary on mode amplitudes."""
+    """Passive linear-optical element: an m x m unitary on mode amplitudes.
+
+    u is a read-only copy of the matrix given, so a later write to the
+    caller's array cannot undo the unitarity check.
+    """
 
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
+        u = np.array(self.u, dtype=complex)
+        u.flags.writeable = False
         object.__setattr__(self, "u", u)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("interferometer matrix must be square")
@@ -114,17 +119,25 @@ def nonlinear_phase_evolve(spec: NonlinearPhaseSpec, psi: FockVector) -> FockVec
     """Apply the diagonal phases exp(-i t phi(z)) to every amplitude.
 
     Phases are accumulated in double precision; 0^0 counts as 1 so a term
-    ignoring a mode leaves that mode's vacuum component untouched.
+    ignoring a mode leaves that mode's vacuum component untouched.  A
+    phase t phi(z) that is not a finite double at some kept occupation
+    raises ValueError before any exponential is taken.
     """
     if spec.modes != psi.modes:
         raise ValueError("phase specification must match the mode count")
     occ = occupation_array(psi.cutoff, psi.modes).astype(float)
     phi = np.zeros(len(psi.amps))
-    for exps, g in spec.terms.items():
-        term = np.full(len(psi.amps), g)
-        for mode, e in enumerate(exps):
-            term *= occ[:, mode] ** e
-        phi += term
+    # an overflow anywhere leaves a non-finite phase, which the check names
+    with np.errstate(over="ignore", invalid="ignore"):
+        for exps, g in spec.terms.items():
+            term = np.full(len(psi.amps), g)
+            for mode, e in enumerate(exps):
+                term *= occ[:, mode] ** e
+            phi += term
+        finite = np.isfinite(spec.t * phi).all()
+    if not finite:
+        raise ValueError(f"nonlinear phase t * phi(z) overflows a double on the grid "
+                         f"of cutoff {psi.cutoff}")
     return replace(psi, amps=psi.amps * np.exp(-1j * spec.t * phi))
 
 
@@ -147,6 +160,26 @@ def cat_state_target(alpha: complex, n_max: int) -> FockVector:
     return FockVector(cutoff=n_max, modes=1, amps=amps)
 
 
+def _interferometer_blocks(u: Interferometer, cutoff: int):
+    """Yield (a, b, block) for every fixed-total block above the vacuum.
+
+    block is the lifted unitary on the sectors order[a:b] of
+    fock.sector_tables(cutoff, u.modes), built from the block below by the
+    one-photon recursion of interferometer_fock.
+    """
+    m = u.modes
+    _, starts, all_roots, all_down, all_peel = sector_tables(cutoff, m)
+    block = np.ones((1, 1), dtype=complex)
+    for n in range(1, len(starts) - 1):
+        a, b = starts[n], starts[n + 1]
+        roots, down, peel = all_roots[a:b], all_down[a:b], all_peel[a:b]
+        cols = np.arange(b - a)
+        prev = block[:, down[cols, peel]]
+        block = sum(roots[:, j, None] * prev[down[:, j]] * u.u[j, peel]
+                    for j in range(m)) / roots[cols, peel]
+        yield a, b, block
+
+
 def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
     """Apply a passive m-mode unitary in the number basis.
 
@@ -167,20 +200,24 @@ def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
     occupations, so the norm there can only fall, by the mass the unitary
     moves past the cutoff.
     """
-    m = psi.modes
+    return _lift_interferometer(u, [psi])[0]
+
+
+def _lift_interferometer(u: Interferometer, states: list) -> list:
+    """interferometer_fock on every state of one grid, each block built once.
+
+    Every block is applied to each state in turn before the next one is
+    built, so only one block is held at a time and each result has the
+    bits of interferometer_fock on that state alone.
+    """
+    cutoff, m = states[0].cutoff, states[0].modes
     if u.modes != m:
         raise ValueError("interferometer size must match the mode count")
-    order, starts, all_roots, all_down, all_peel = sector_tables(psi.cutoff, m)
-    grouped = psi.amps[order]
-    block = np.ones((1, 1), dtype=complex)
-    for n in range(1, len(starts) - 1):
-        a, b = starts[n], starts[n + 1]
-        roots, down, peel = all_roots[a:b], all_down[a:b], all_peel[a:b]
-        cols = np.arange(b - a)
-        prev = block[:, down[cols, peel]]
-        block = sum(roots[:, j, None] * prev[down[:, j]] * u.u[j, peel]
-                    for j in range(m)) / roots[cols, peel]
-        grouped[a:b] = block @ grouped[a:b]
+    order = sector_tables(cutoff, m)[0]
+    grouped = np.array([s.amps[order] for s in states])
+    for a, b, block in _interferometer_blocks(u, cutoff):
+        for g in grouped:
+            g[a:b] = block @ g[a:b]
     amps = np.empty_like(grouped)
-    amps[order] = grouped
-    return replace(psi, amps=amps)
+    amps[:, order] = grouped
+    return [replace(s, amps=row) for s, row in zip(states, amps)]

@@ -9,6 +9,13 @@ circuit without the key.  Decryption is the inverse rotation followed by
 a per-mode decision, so its cost never depends on the circuit.  The
 energy, size and per-mode overlaps of the number basis come from fock.
 
+run_protocol audits each exchange against the plaintext run of the same
+circuit.  Both runs go through one walk over the gates: each number-basis
+interferometer block is built once, from u on the shared grid, and
+applied to the ciphertext and to the plaintext before the next block is
+built.  A Transcript encodes each of its three wire messages once, on
+first use, and every later read gets the same bytes.
+
 Wire formats are single-line JSON with a fixed field order and floats
 printed at 17 significant digits, so byte-identical transcripts are
 reproducible and diffable.  Each payload or matrix is formatted in one
@@ -40,15 +47,15 @@ from .encoding import (
 from .evaluation import (
     Interferometer,
     NonlinearPhaseSpec,
+    _lift_interferometer,
     apply_interferometer,
-    interferometer_fock,
     nonlinear_phase_evolve,
 )
 from .fock import (CapacityError, FockVector, block_entries, coherent_coefficients, coherent_fock,
                    mean_photon_number, mode_overlap_norms, truncation_bound)
 
 # Largest number-basis grid the evaluator lifts to or accepts, in entries of
-# its fixed-total blocks (fock.block_entries), which set interferometer_fock's work.
+# its fixed-total blocks (fock.block_entries), which set the interferometer lift's work.
 FOCK_SIZE_CAP = 2 ** 22
 
 # Fock-level decode declares a mode undecodable when it overlaps neither
@@ -253,6 +260,42 @@ def _check_fock_size(n_max: int, m: int) -> None:
                             f"the cap of {FOCK_SIZE_CAP} block entries")
 
 
+def _evaluate(circuit: CircuitDescription, states: list, n_max: "int | None") -> list:
+    """Run the circuit on every state in one walk over the gates.
+
+    The states share a mode count, a representation and, in the number
+    basis, a cutoff.  Interferometers act on coherent amplitudes directly;
+    the first nonlinear gate expands every state into the number basis at
+    one cutoff, n_max or else the one the first state's total energy gives.
+    Each number-basis interferometer block is built once and applied to
+    every state before the next block is built, so the result for each
+    state has the bits of a run on that state alone.  A number-basis grid
+    received or lifted to beyond FOCK_SIZE_CAP raises CapacityError before
+    anything is allocated for it.
+    """
+    m = states[0].modes
+    if isinstance(states[0], FockVector):
+        _check_fock_size(states[0].cutoff, m)
+    for index, gate in enumerate(circuit.gates):
+        if gate.modes != m:
+            raise ValueError("gate size must match the ciphertext mode count")
+        if isinstance(gate, NonlinearPhaseSpec):
+            if isinstance(states[0], AmplitudeVector):
+                if n_max is None:
+                    n_max = truncation_bound(states[0].total_energy())
+                _check_fock_size(n_max, m)
+                states = [coherent_fock(s.amps, n_max) for s in states]
+            try:
+                states = [nonlinear_phase_evolve(gate, s) for s in states]
+            except ValueError as exc:
+                raise ValueError(f"circuit gate {index}: {exc}") from None
+        elif isinstance(states[0], AmplitudeVector):
+            states = [apply_interferometer(gate, s) for s in states]
+        else:
+            states = _lift_interferometer(gate, states)
+    return states
+
+
 def evaluator_apply(circuit: CircuitDescription, ct: CipherText,
                     n_max: "int | None" = None) -> CipherText:
     """Run the circuit on a ciphertext, never seeing the key.
@@ -261,25 +304,11 @@ def evaluator_apply(circuit: CircuitDescription, ct: CipherText,
     nonlinear gate expands the state into the number basis with a cutoff
     from the ciphertext's total energy unless n_max is given.  A
     number-basis state received or lifted to beyond FOCK_SIZE_CAP raises
-    CapacityError before anything is allocated for it.
+    CapacityError before anything is allocated for it.  It is the one-state
+    case of the walk run_protocol shares between the ciphertext and its
+    plaintext reference.
     """
-    state = ct
-    if isinstance(state, FockVector):
-        _check_fock_size(state.cutoff, state.modes)
-    for gate in circuit.gates:
-        if gate.modes != state.modes:
-            raise ValueError("gate size must match the ciphertext mode count")
-        if isinstance(gate, Interferometer):
-            state = (apply_interferometer if isinstance(state, AmplitudeVector)
-                     else interferometer_fock)(gate, state)
-        else:
-            if isinstance(state, AmplitudeVector):
-                if n_max is None:
-                    n_max = truncation_bound(state.total_energy())
-                _check_fock_size(n_max, state.modes)
-                state = coherent_fock(state.amps, n_max)
-            state = nonlinear_phase_evolve(gate, state)
-    return state
+    return _evaluate(circuit, [ct], n_max)[0]
 
 
 def client_decrypt(ct: CipherText, key: PhaseKey) -> CipherText:
@@ -314,9 +343,14 @@ def client_decrypt_decode(ct: CipherText, key: PhaseKey, alpha: complex) -> BitS
     return _decode(client_decrypt(ct, key), alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
-    """Everything one protocol run produced; to_jsonl writes all of it but decrypted."""
+    """Everything one protocol run produced; to_jsonl writes all of it but decrypted.
+
+    The three wire messages are encoded on the first call to wire_messages
+    or to_jsonl and kept; dataclasses.replace starts a new transcript
+    without them, so a replaced field is always encoded afresh.
+    """
 
     m: int
     d: int
@@ -332,6 +366,7 @@ class Transcript:
     y_reference: "BitString | None"
     flags: list = field(default_factory=list)
     decrypted: "CipherText | None" = None
+    _bodies: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def correct(self) -> bool:
@@ -339,8 +374,11 @@ class Transcript:
 
     def wire_messages(self) -> list:
         """The three messages an eavesdropper would see, as wire JSON."""
-        return [ciphertext_to_json(self.sent), circuit_to_json(self.circuit),
-                ciphertext_to_json(self.returned)]
+        if self._bodies is None:
+            object.__setattr__(self, "_bodies", (ciphertext_to_json(self.sent),
+                                                 circuit_to_json(self.circuit),
+                                                 ciphertext_to_json(self.returned)))
+        return list(self._bodies)
 
     def to_jsonl(self) -> str:
         sent, circuit, returned = self.wire_messages()
@@ -372,8 +410,12 @@ def run_protocol(x: BitString, alpha: complex, d: int, circuit: CircuitDescripti
 
     Correctness compares the decrypted state against direct plaintext
     evaluation: entrywise at amplitude level, within 1e-12 max(1, |alpha|),
-    by overlap once a nonlinear gate has forced the number basis.  Degenerate parameter choices are
-    flagged rather than rejected so sweeps can pass through them.
+    by overlap once a nonlinear gate has forced the number basis.  The
+    ciphertext and the plaintext go through the circuit in one walk at one
+    cutoff, sharing every number-basis interferometer lift; each result has
+    the bits evaluator_apply gives on that state alone.  Degenerate
+    parameter choices are flagged rather than rejected so sweeps can pass
+    through them.
     """
     m = len(x)
     alpha = complex(alpha)
@@ -388,9 +430,8 @@ def run_protocol(x: BitString, alpha: complex, d: int, circuit: CircuitDescripti
     n_max = truncation_bound(mean_photon_number(abs(alpha), m)) if circuit.has_nonlinear() else None
 
     sent = client_encrypt(x, alpha, key)
-    returned = evaluator_apply(circuit, sent, n_max=n_max)
+    returned, reference = _evaluate(circuit, [sent, encode(x, alpha)], n_max)
     decrypted = client_decrypt(returned, key)
-    reference = evaluator_apply(circuit, encode(x, alpha), n_max=n_max)
 
     if isinstance(decrypted, AmplitudeVector):
         diff = float(np.abs(decrypted.amps - reference.amps).max())

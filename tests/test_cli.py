@@ -140,6 +140,23 @@ class TestExitCodes:
         assert rc == 3
         assert "capacity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gate", [
+        '{"kind":"nonlinear","terms":[{"exps":[400],"g":1.0}],"t":1.0}',
+        '{"kind":"nonlinear","terms":[{"exps":[2],"g":1.0}],"t":1e308}',
+        '{"kind":"nonlinear","terms":[{"exps":[2],"g":1e308}],"t":1.0}',
+    ], ids=["exps-400", "t-1e308", "g-1e308"])
+    def test_overflowing_nonlinear_phase_names_the_gate(self, gate, tmp_path, capsys):
+        # the pytest config turns a numpy RuntimeWarning into an error
+        circuit = tmp_path / "overflow.json"
+        circuit.write_text('{"type":"circuit","gates":[' + gate + "]}")
+        rc = run_cli(["protocol-demo", "--m", "1", "--circuit", str(circuit),
+                      "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "circuit gate 0: nonlinear phase" in err
+        assert "finite floats" not in err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_large_amplitude_kerr_cat_is_zero(self, tmp_path, capsys):
         # e^{-|alpha|^2} underflows at |alpha| = 40; the state starts at its first normal term
         out = tmp_path / "t.jsonl"

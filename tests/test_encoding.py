@@ -87,6 +87,16 @@ class TestKeygen:
             PhaseKey(k=3, d=3)
 
 
+class TestAmplitudeVector:
+    def test_keeps_a_read_only_copy(self):
+        arr = np.array([0.5, -0.5j])
+        v = AmplitudeVector(arr)
+        arr[0] = np.nan
+        np.testing.assert_array_equal(v.amps, [0.5, -0.5j])
+        with pytest.raises(ValueError, match="read-only"):
+            v.amps[0] = np.nan
+
+
 class TestPhaseRotate:
     def test_identity(self):
         v = AmplitudeVector(np.array([0.3 + 0.1j, -0.7]))

@@ -161,6 +161,14 @@ class TestInterferometer:
             with pytest.raises(ValueError, match="not unitary"):
                 Interferometer(np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    def test_keeps_a_read_only_copy(self):
+        arr = np.eye(2, dtype=complex)
+        gate = Interferometer(arr)
+        arr[0, 0] = 7
+        np.testing.assert_array_equal(gate.u, np.eye(2))
+        with pytest.raises(ValueError, match="read-only"):
+            gate.u[0, 0] = 7
+
     def test_haar_unitarity(self):
         u = haar_random_unitary(4, 3)
         assert np.abs(u.u.conj().T @ u.u - np.eye(4)).max() < 1e-12
@@ -251,6 +259,24 @@ class TestNonlinearPhase:
         evolved = nonlinear_phase_evolve(spec, psi)
         np.testing.assert_allclose(np.abs(evolved.amps) ** 2, np.abs(psi.amps) ** 2,
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("terms, t", [({(400,): 1.0}, 1.0), ({(2,): 1.0}, 1e308),
+                                          ({(2,): 1e308}, 1.0)],
+                             ids=["exps-400", "t-1e308", "g-1e308"])
+    def test_overflowing_phase_raises_without_warnings(self, terms, t):
+        psi = coherent_fock([1.0], truncation_bound(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows a double"):
+                nonlinear_phase_evolve(NonlinearPhaseSpec(terms=terms, t=t), psi)
+
+    def test_large_finite_phase_is_applied(self):
+        # t phi(z) reaches 1.2e301 at the cutoff, still a finite double
+        psi = coherent_fock([1.0], 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evolved = nonlinear_phase_evolve(NonlinearPhaseSpec(terms={(1,): 1e300}), psi)
+        np.testing.assert_allclose(np.abs(evolved.amps), np.abs(psi.amps), rtol=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):

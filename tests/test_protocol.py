@@ -103,6 +103,13 @@ class TestCircuitWire:
         assert line.startswith('{"type":"circuit","gates":[{"kind":"nonlinear","terms":[')
         assert line.index('"t":') > line.index('"terms"')
 
+    def test_gate_survives_a_write_to_the_callers_array(self):
+        arr = haar_random_unitary(3, 2).u.copy()
+        circuit = CircuitDescription(gates=(Interferometer(arr),))
+        arr[0, 0] = 7
+        back = circuit_from_json(circuit_to_json(circuit))
+        np.testing.assert_array_equal(back.gates[0].u, circuit.gates[0].u)
+
     def test_bad_json_reports_position(self):
         with pytest.raises(json.JSONDecodeError) as err:
             circuit_from_json('{"type":"circuit","gates":[}')
