@@ -8,7 +8,8 @@ single-mode vectors.  This module alone knows that layout: one cached,
 read-only index per grid behind occupation_array and total_photon_numbers,
 grid_size and block_entries for its sizes without a huge power,
 sector_tables for its fixed-total blocks, mode_overlap_norms for per-mode
-contractions, and mean_photon_number for the energy m|alpha|^2 that sets
+contractions, tile_pairs for the tiles dense operators are built and
+checked in, and mean_photon_number for the energy m|alpha|^2 that sets
 its cutoff (inf where a double overflows).
 """
 
@@ -34,6 +35,11 @@ _SERIES_CACHE_SIZE = 256
 # Most that dropping the off-sector part of an operator may move half its
 # trace norm in a sector-wise eigensolve.
 SECTOR_LEAK_TOL = 1e-12
+
+# Rows and columns of one tile of a dense operator: a few 256 kB tiles fit a
+# core's L2 cache, and a multiple of every SIMD width puts each entry in the
+# same vector lane, and so gives it the same bits, as a whole-row operation.
+_TILE = 128
 
 
 class CapacityError(Exception):
@@ -242,12 +248,25 @@ def sector_tables(n_max: int, modes: int):
     return tables
 
 
+def tile_pairs(dim: int):
+    """(rows, cols) slice pairs covering the upper triangle of a dim x dim matrix by tiles.
+
+    Tiles of _TILE indices, row tile before column tile; the diagonal
+    pairs have rows == cols, and every other entry lies in exactly one
+    pair's tile or its mirror (cols, rows).
+    """
+    tiles = [slice(lo, min(lo + _TILE, dim)) for lo in range(0, dim, _TILE)]
+    return [(rows, cols) for i, rows in enumerate(tiles) for cols in tiles[i:]]
+
+
 @dataclass(frozen=True, eq=False)
 class FockVector:
     """A pure state on `modes` optical modes, truncated at photon cap `cutoff`.
 
     amps holds the (cutoff+1)^modes complex amplitudes in the lexicographic
-    occupation-tuple order of occupation_array.
+    occupation-tuple order of occupation_array, as a read-only copy of the
+    values given, so a later write to the caller's array cannot change the
+    state (or a wire body already encoded from it).
     """
 
     cutoff: int
@@ -255,7 +274,8 @@ class FockVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex)
+        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
         # grid_size also rejects cutoff < 0 and modes < 1
         if amps.ndim != 1 or grid_size(self.cutoff, self.modes, len(amps)) != len(amps):
@@ -293,6 +313,10 @@ def overlap(u: FockVector, v: FockVector) -> complex:
 class DensityOperator:
     """Finite Hermitian operator on the truncated Fock space, stored dense.
 
+    The Hermitian check compares each tile with its mirror (tile_pairs),
+    so it forms no full-size difference; every entry still meets the 1e-12
+    rule, and a NaN or inf anywhere still fails it.
+
     sectors holds one integer label per basis state (default all zeros,
     one sector).  Eigensolves treat the operator as block diagonal over
     equal labels and check that what lies outside those blocks is
@@ -306,13 +330,17 @@ class DensityOperator:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        # a NaN or inf entry makes dev NaN or inf, which fails the check too
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not len(entries):
+            raise ValueError("entries must be a nonempty square matrix")
+        # a NaN or inf entry makes its deviation NaN or inf, which fails the
+        # check too; |E - E^H| is the same at (i, j) and (j, i), so the tile
+        # pairs of the upper triangle cover every entry
         with np.errstate(invalid="ignore", over="ignore"):
-            dev = np.abs(entries - entries.conj().T).max()
-        if not dev <= 1e-12:
-            raise ValueError("entries are not finite and Hermitian within 1e-12")
+            for rows, cols in tile_pairs(len(entries)):
+                diff = np.conj(entries[cols, rows].T, order="C")
+                np.subtract(entries[rows, cols], diff, out=diff)
+                if not np.abs(diff).max() <= 1e-12:  # a NaN fails; max(0.0, nan) would not
+                    raise ValueError("entries are not finite and Hermitian within 1e-12")
         sectors = (np.zeros(len(entries), dtype=np.int64) if self.sectors is None
                    else np.asarray(self.sectors))
         if sectors.shape != (len(entries),) or sectors.dtype.kind not in "iu":
@@ -334,20 +362,25 @@ class DensityOperator:
             raise ValueError(f"negative eigenvalue {lo!r} below the -1e-10 floor")
 
 
-def _sector_eigvalsh(mat: np.ndarray, sectors: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the diagonal blocks of Hermitian mat over equal sector labels.
+def _sector_eigvalsh(mat: np.ndarray, sectors: np.ndarray,
+                     minus: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues of the diagonal blocks of Hermitian mat - minus over equal sector labels.
 
-    Raises ValueError unless the dropped off-block part E of mat obeys
-    (1/2) sqrt(dim) ||E||_F <= SECTOR_LEAK_TOL.  Since ||E||_1 <=
-    sqrt(dim) ||E||_F, half the summed |eigenvalues| is then within
-    SECTOR_LEAK_TOL of the full eigensolve's, and (Weyl) every eigenvalue
-    moves by at most ||E||_2 <= ||E||_F.
+    minus defaults to zero.  Each sector's rows are taken straight from the
+    two matrices, mat[idx] - minus[idx]: the bits of (mat - minus)[idx],
+    without forming the whole difference.  Raises ValueError unless the
+    dropped off-block part E of mat - minus obeys (1/2) sqrt(dim) ||E||_F
+    <= SECTOR_LEAK_TOL.  Since ||E||_1 <= sqrt(dim) ||E||_F, half the summed
+    |eigenvalues| is then within SECTOR_LEAK_TOL of the full eigensolve's,
+    and (Weyl) every eigenvalue moves by at most ||E||_2 <= ||E||_F.
     """
     lams = []
     leak = 0.0
     order = np.argsort(sectors, kind="stable")
     for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
         rows = mat[idx]
+        if minus is not None:
+            rows -= minus[idx]
         lams.append(np.linalg.eigvalsh(rows[:, idx]))
         rows[:, idx] = 0.0
         leak += float(np.vdot(rows, rows).real)
@@ -370,12 +403,15 @@ def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> floa
     block of rho - sigma is eigensolved on its own and |eigenvalues| are
     summed over the blocks; otherwise the whole difference is one sector.
     The off-sector part is checked, not assumed, to move the result by at
-    most SECTOR_LEAK_TOL (ValueError beyond).  eigvalsh is deterministic
-    for identical input bits, which keeps regression values stable.
+    most SECTOR_LEAK_TOL (ValueError beyond).  rho - sigma is never formed
+    whole: each sector's rows are subtracted on their own, with the same
+    bits, so the blocks, eigenvalues and distance are those of the whole
+    difference.  eigvalsh is deterministic for identical input bits, which
+    keeps regression values stable.
     """
     if rho.dim != sigma.dim:
         raise ValueError("trace distance requires equal dimensions")
     sectors = (rho.sectors if np.array_equal(rho.sectors, sigma.sectors)
                else np.zeros(rho.dim, dtype=np.int64))
-    lam = _sector_eigvalsh(rho.entries - sigma.entries, sectors)
+    lam = _sector_eigvalsh(rho.entries, sectors, minus=sigma.entries)
     return 0.5 * float(np.abs(lam).sum())

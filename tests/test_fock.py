@@ -156,6 +156,14 @@ class TestFockVector:
         with pytest.raises(ValueError):
             FockVector(cutoff=2, modes=2, amps=np.zeros(5))
 
+    def test_keeps_a_read_only_copy(self):
+        arr = np.array([0.5, -0.5j, 0.25])
+        psi = FockVector(cutoff=2, modes=1, amps=arr)
+        arr[0] = np.nan
+        np.testing.assert_array_equal(psi.amps, [0.5, -0.5j, 0.25])
+        with pytest.raises(ValueError, match="read-only"):
+            psi.amps[0] = np.nan
+
 
 class TestOverlap:
     def test_self_overlap(self):
@@ -257,6 +265,29 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
+    # 300 states make tiles 0-127, 128-255 and a partial 256-299; each bad
+    # entry sits in an off-diagonal tile, its mirror, or the partial tile
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan), 1e-11j])
+    @pytest.mark.parametrize("where", [(5, 200), (200, 5), (10, 290), (290, 10),
+                                       (260, 299), (299, 299)])
+    def test_rejects_a_bad_entry_in_any_tile(self, bad, where):
+        # 1e-11j added to one entry alone breaks Hermiticity by more than 1e-12
+        entries = np.eye(300, dtype=complex) / 300
+        entries[where] += bad
+        with pytest.raises(ValueError, match="finite and Hermitian"):
+            DensityOperator(entries)
+
+    def test_accepts_deviation_up_to_the_rule_in_every_tile(self):
+        entries = np.eye(300, dtype=complex) / 300
+        for where in [(5, 200), (10, 290), (260, 299)]:
+            entries[where] += 0.9e-12j
+        DensityOperator(entries)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_rejects_empty_or_non_square_entries(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            DensityOperator(np.zeros(shape))
+
     def test_validate_contract(self):
         rho = density_from_fock(coherent_fock([0.6], truncation_bound(0.36)))
         rho.validate(expected_trace=rho.entries.trace().real)
@@ -272,6 +303,23 @@ class TestDensityOperator:
 def _full_eigvalsh_distance(rho, sigma):
     """Reference: one eigensolve of the whole difference, labels ignored."""
     return 0.5 * float(np.abs(np.linalg.eigvalsh(rho.entries - sigma.entries)).sum())
+
+
+def _whole_difference_distance(rho, sigma):
+    """Reference: the sector-wise distance from the whole difference rho - sigma, formed first."""
+    mat = rho.entries - sigma.entries
+    sectors = (rho.sectors if np.array_equal(rho.sectors, sigma.sectors)
+               else np.zeros(rho.dim, dtype=np.int64))
+    lams = []
+    leak = 0.0
+    order = np.argsort(sectors, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
+        rows = mat[idx]
+        lams.append(np.linalg.eigvalsh(rows[:, idx]))
+        rows[:, idx] = 0.0
+        leak += float(np.vdot(rows, rows).real)
+    assert 0.5 * math.sqrt(len(mat) * leak) <= SECTOR_LEAK_TOL
+    return 0.5 * float(np.abs(np.concatenate(lams)).sum())
 
 
 def _channel_pair(m, alpha, d, w):
@@ -298,6 +346,8 @@ class TestSectorEigensolve:
         np.testing.assert_array_equal(rho.sectors, t % d)
         np.testing.assert_array_equal(sigma.sectors, t % d)
         got = trace_distance_numeric(rho, sigma)
+        # the rows of each sector are subtracted on their own: same bits
+        assert got == _whole_difference_distance(rho, sigma)
         assert abs(got - _full_eigvalsh_distance(rho, sigma)) <= 1e-12
 
     def test_labels_cutting_a_coupled_difference_are_refused(self):
@@ -332,9 +382,11 @@ class TestSectorEigensolve:
         # rho and sigma are block diagonal over different partitions, so
         # neither partition may be used for both
         got = trace_distance_numeric(rho, sigma)
+        assert got == _whole_difference_distance(rho, sigma)
         assert abs(got - _full_eigvalsh_distance(rho, sigma)) <= 1e-12
         pure = density_from_fock(coherent_fock([0.7, -0.7], n_max))
         got = trace_distance_numeric(rho, pure)
+        assert got == _whole_difference_distance(rho, pure)
         assert abs(got - _full_eigvalsh_distance(rho, pure)) <= 1e-12
 
     def test_validate_per_sector(self):

@@ -1,21 +1,24 @@
 """The oracles' inputs agree with the straightforward constructions they replace.
 
 encryption_channel_density looks the rotation phases up by total photon
-number; its entries must equal, bit for bit, the channel sum built with
-one complex exponential per amplitude.  encrypted_distance_oracle builds
-the codewords' coordinates one total-photon-number sector at a time and
-QRs only those; it must agree within 1e-12 with the grid-wide version
-that QRs all 2d rotated codewords on the whole grid, forms Q and projects
-the codewords onto it.
+number and builds the matrix tile by tile; its entries must equal, bit for
+bit, the whole-matrix channel sum built with one complex exponential per
+amplitude, and neither the build nor the dense trace distance may hold a
+second full-size matrix.  encrypted_distance_oracle builds the codewords'
+coordinates one total-photon-number sector at a time and QRs only those;
+it must agree within 1e-12 with the grid-wide version that QRs all 2d
+rotated codewords on the whole grid, forms Q and projects the codewords
+onto it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phasekey.encoding import BitString, codeword_fock, encryption_channel_density
-from phasekey.fock import total_photon_numbers, truncation_bound
+from phasekey.fock import total_photon_numbers, trace_distance_numeric, truncation_bound
 from phasekey.security import encrypted_distance_oracle
 
 
@@ -78,6 +81,48 @@ def test_channel_entries_equal_per_amplitude_exponentials(m, alpha, d, w):
         ref = ref_channel_entries(x, alpha, d, n_max)
         assert np.array_equal(rho.entries, ref)
         np.testing.assert_array_equal(rho.sectors, total_photon_numbers(n_max, m) % d)
+
+
+# the channel is built over tiles of fock._TILE = 128 states: grids of 127,
+# 128 and 129 states (one mode, and 2^7 for seven), 169 with one key and
+# with more keys than totals, and the oracle benchmark's 729-state shape,
+# whose last tile is partial
+TILE_GRID = [(1, 126, 3.0, 3, 1), (1, 127, 3.0, 3, 1), (1, 128, 3.0, 3, 1),
+             (7, 1, 0.3, 3, 2), (2, 12, 0.7, 1, 1), (2, 12, 0.7, 30, 2), (3, 8, 0.21, 3, 1)]
+
+
+@pytest.mark.parametrize("m,n_max,alpha,d,w", TILE_GRID)
+def test_channel_entries_keep_their_bits_across_tiles(m, n_max, alpha, d, w):
+    for x in _pair(m, w):
+        rho = encryption_channel_density(x, alpha, d, n_max)
+        ref = ref_channel_entries(x, alpha, d, n_max)
+        # every byte, so that even the sign of each zero is the whole-matrix one
+        assert rho.entries.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(rho.sectors, total_photon_numbers(n_max, m) % d)
+
+
+def _peak_bytes(fn, *args):
+    """Peak traced allocation of fn(*args) above what was held before the call."""
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
+
+
+def test_dense_oracle_makes_no_full_size_temporary():
+    # the oracle benchmark's three-mode shape: 729 states, 8.5 MB per matrix.
+    # A whole-matrix build peaks at about three matrices, and forming
+    # rho - sigma first adds about 1.67 matrices to the distance.
+    u, v = _pair(3, 1)
+    rho = encryption_channel_density(u, 0.21, 3, 8)
+    sigma = encryption_channel_density(v, 0.21, 3, 8)
+    matrix = rho.entries.nbytes
+    assert _peak_bytes(encryption_channel_density, u, 0.21, 3, 8) <= 1.5 * matrix
+    assert _peak_bytes(trace_distance_numeric, rho, sigma) <= 1.25 * matrix
 
 
 # --- the support-basis oracle -------------------------------------------------

@@ -204,6 +204,16 @@ class TestTranscriptEncoding:
         assert swapped.wire_messages()[2] == ciphertext_to_json(other)
         assert tr.wire_messages()[2] == ciphertext_to_json(tr.returned)
 
+    def test_number_basis_states_are_read_only(self):
+        # a write into a state would leave the cached wire bodies describing the old one
+        tr = _haar_kerr_transcript()
+        bodies = tr.wire_messages()
+        with pytest.raises(ValueError, match="read-only"):
+            tr.returned.amps[0] = np.nan
+        assert tr.wire_messages() == bodies == [ciphertext_to_json(tr.sent),
+                                                circuit_to_json(tr.circuit),
+                                                ciphertext_to_json(tr.returned)]
+
     def test_returned_list_is_the_callers(self):
         tr = _haar_kerr_transcript()
         bodies = tr.wire_messages()
