@@ -21,15 +21,13 @@ from .fock import (
     coherent_fock,
     grid_size,
     occupation_array,
-    tile_pairs,
     total_photon_numbers,
 )
 
-# Cap on m * (n_max+1)^m before a dense channel average is attempted.  The
-# average then holds one matrix of at most (cap/m)^2 complex entries (16
-# bytes each), plus a few 128 x 128 tiles and the d rotated codewords: no
-# step of the build or of its Hermitian check holds a second full-size matrix.
-DENSE_CHANNEL_CAP = 20000
+# Most basis states, (n_max+1)^m, of a dense channel average.  The average
+# is one matrix of at most 4096^2 complex entries (16 bytes each, 268 MB),
+# plus the d rotated codewords and the 128 x 128 tiles of its Hermitian check.
+DENSE_CHANNEL_CAP = 4096
 
 # Blocks whose weight underflows below this are reported absent.
 EMPTY_BLOCK_FLOOR = 1e-300
@@ -172,16 +170,13 @@ def encryption_channel_density(x: BitString, alpha: complex, d: int,
 
     R_k rotates every mode by theta_k = 2 pi k / d, multiplying the
     amplitude of total photon number t by e^{-i theta_k t}; the phases are
-    computed once per (k, t) and looked up, and each R_k psi is formed
-    once.  The matrix is built one pair of tiles (I, J), I <= J, at a time
-    (fock.tile_pairs), so no step makes a full-size temporary.  Each entry
-    of the tile sums S_IJ and S_JI is taken literally, 0 + r_0 r_0* +
-    r_1 r_1* + ... in key order, then divided by d; the rounding residue
-    is symmetrized as H_IJ = (S_IJ + S_JI^H) / 2 and H_JI = (S_JI +
-    S_IJ^H) / 2.  Tile order changes no operation, so every entry keeps the
-    bits of the whole-matrix sum and (rho + rho^H) / 2.  H_JI equals
-    H_IJ^H in value, exactly; computing it rather than mirroring keeps the
-    sign of each zero too.  Each basis state is labelled with its residue
+    computed once per (k, t) and looked up.  With the rotated codewords
+    R_k psi as the rows of a d x N matrix C, the average is the one product
+    (C / d)^T C^*.  Its entries agree with the literal key sum to within
+    rounding, a few d 2^-53 |psi_i||psi_j|, and are exactly zero where
+    psi_i psi_j is; their bits are not part of the contract.  The product
+    is Hermitian to within the same rounding, which DensityOperator's
+    1e-12 check guards.  Each basis state is labelled with its residue
     t mod d, the sectors over which the average is block diagonal;
     trace_distance_numeric verifies that structure before it eigensolves
     sector by sector.
@@ -189,39 +184,15 @@ def encryption_channel_density(x: BitString, alpha: complex, d: int,
     if d < 1:
         raise ValueError("key space size d must be at least 1")
     m = len(x)
-    if m * grid_size(n_max, m, DENSE_CHANNEL_CAP) > DENSE_CHANNEL_CAP:
-        raise CapacityError(
-            f"dense channel average at m={m}, n_max={n_max} exceeds the cap {DENSE_CHANNEL_CAP}")
+    if grid_size(n_max, m, DENSE_CHANNEL_CAP) > DENSE_CHANNEL_CAP:
+        raise CapacityError(f"dense channel average at m={m}, n_max={n_max} holds more "
+                            f"than {DENSE_CHANNEL_CAP} states")
     psi = codeword_fock(x, alpha, n_max)
     t = total_photon_numbers(n_max, m)
     totals = np.arange(t.max() + 1)
     # row k is R_k psi: d vectors of the grid's length
     rotated = np.array([np.exp(-2j * math.pi * k / d * totals)[t] * psi.amps for k in range(d)])
-    conjugated = rotated.conj()
-
-    def key_sum(rows, cols):
-        # (1/d) sum_k r_k[rows] r_k[cols]^*, added to 0 in key order
-        total = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=complex)
-        term = np.empty_like(total)
-        for a, b in zip(rotated[:, rows], conjugated[:, cols]):
-            total += np.outer(a, b, out=term)
-        total /= d
-        return total
-
-    def symmetrize(rows, cols, s_ij, s_ji):
-        # rho[rows, cols] = 0.5 * (s_ij + s_ji^H), s_ji^H copied out contiguous
-        half = np.conj(s_ji.T, order="C")
-        np.add(s_ij, half, out=half)
-        np.multiply(0.5, half, out=rho[rows, cols])
-
-    rho = np.empty((len(t), len(t)), dtype=complex)
-    for rows, cols in tile_pairs(len(t)):
-        # the literal sum is Hermitian only up to rounding; symmetrize the residue
-        s_ij = key_sum(rows, cols)
-        s_ji = s_ij if rows == cols else key_sum(cols, rows)
-        symmetrize(rows, cols, s_ij, s_ji)
-        if rows != cols:
-            symmetrize(cols, rows, s_ji, s_ij)
+    rho = (rotated / d).T @ rotated.conj()
     return DensityOperator(rho, sectors=t % d)
 
 

@@ -8,9 +8,9 @@ single-mode vectors.  This module alone knows that layout: one cached,
 read-only index per grid behind occupation_array and total_photon_numbers,
 grid_size and block_entries for its sizes without a huge power,
 sector_tables for its fixed-total blocks, mode_overlap_norms for per-mode
-contractions, tile_pairs for the tiles dense operators are built and
-checked in, and mean_photon_number for the energy m|alpha|^2 that sets
-its cutoff (inf where a double overflows).
+contractions, tile_pairs for the tiles dense operators are checked in,
+and mean_photon_number for the energy m|alpha|^2 that sets its cutoff
+(inf where a double overflows).
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ _SERIES_CACHE_SIZE = 256
 # trace norm in a sector-wise eigensolve.
 SECTOR_LEAK_TOL = 1e-12
 
-# Rows and columns of one tile of a dense operator: a few 256 kB tiles fit a
-# core's L2 cache, and a multiple of every SIMD width puts each entry in the
-# same vector lane, and so gives it the same bits, as a whole-row operation.
+# Rows and columns of one tile of a dense operator's Hermitian check: the
+# check holds a 256 kB tile at a time, never a full-size difference.
 _TILE = 128
 
 

@@ -28,6 +28,7 @@ belongs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -366,18 +367,18 @@ class Transcript:
     y_reference: "BitString | None"
     flags: list = field(default_factory=list)
     decrypted: "CipherText | None" = None
-    _bodies: "tuple | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def correct(self) -> bool:
         return bool(self.correctness.get("pass", False))
 
+    @functools.cached_property
+    def _bodies(self) -> tuple:
+        return (ciphertext_to_json(self.sent), circuit_to_json(self.circuit),
+                ciphertext_to_json(self.returned))
+
     def wire_messages(self) -> list:
         """The three messages an eavesdropper would see, as wire JSON."""
-        if self._bodies is None:
-            object.__setattr__(self, "_bodies", (ciphertext_to_json(self.sent),
-                                                 circuit_to_json(self.circuit),
-                                                 ciphertext_to_json(self.returned)))
         return list(self._bodies)
 
     def to_jsonl(self) -> str:

@@ -197,8 +197,6 @@ def encrypted_trace_distance_limit(params: SecurityParams) -> float:
 
     r = (m - 2w)/m; the k = 0 block never contributes since A_0 = 1.
     """
-    if params.w == 0:
-        return 0.0
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
     r2 = ((params.m - 2 * params.w) / params.m) ** 2
     r2k = np.cumprod(np.full(len(pois) - 1, r2))  # k = 1..t_max

@@ -177,6 +177,12 @@ class TestEncryptionChannel:
         with pytest.raises(CapacityError):
             encryption_channel_density(BitString((0, 0, 0)), 1.5, 4, 40)
 
+    # one mode or two: 4097 and 4225 states, each a matrix of about 270 MB
+    @pytest.mark.parametrize("m,n_max", [(1, 4096), (2, 64)])
+    def test_memory_cap_counts_states(self, m, n_max):
+        with pytest.raises(CapacityError, match="more than 4096 states"):
+            encryption_channel_density(BitString((0,) * m), 0.5, 3, n_max)
+
 
 class TestBlockDecomposition:
     def test_vacuum_input(self):

@@ -1,14 +1,16 @@
 """The oracles' inputs agree with the straightforward constructions they replace.
 
 encryption_channel_density looks the rotation phases up by total photon
-number and builds the matrix tile by tile; its entries must equal, bit for
-bit, the whole-matrix channel sum built with one complex exponential per
-amplitude, and neither the build nor the dense trace distance may hold a
-second full-size matrix.  encrypted_distance_oracle builds the codewords'
-coordinates one total-photon-number sector at a time and QRs only those;
-it must agree within 1e-12 with the grid-wide version that QRs all 2d
-rotated codewords on the whole grid, forms Q and projects the codewords
-onto it.
+number and builds the matrix as one product of the rotated codewords; its
+entries must agree, to within rounding of a d-term sum, with the channel
+sum built with one complex exponential per amplitude, be Hermitian to the
+same rounding, vanish exactly where the codeword does, and repeat byte for
+byte on a second build; neither the build nor the dense trace distance may
+hold a second full-size matrix.  encrypted_distance_oracle builds the
+codewords' coordinates one total-photon-number sector at a time and QRs
+only those; it must agree within 1e-12 with the grid-wide version that QRs
+all 2d rotated codewords on the whole grid, forms Q and projects the
+codewords onto it.
 """
 
 import math
@@ -73,32 +75,48 @@ CHANNEL_GRID += [(1, 0.7, 7, 1), (2, 0.79, 5, 1), (3, 0.21, 3, 1), (3, 0.3, 4, 2
                  (1, 0.5, 40, 1)]
 
 
-@pytest.mark.parametrize("m,alpha,d,w", CHANNEL_GRID)
-def test_channel_entries_equal_per_amplitude_exponentials(m, alpha, d, w):
-    n_max = truncation_bound(m * alpha ** 2)
+def _check_channel(m, n_max, alpha, d, w):
+    """rho within rounding of the literal key sum, Hermitian, labelled, and reproducible."""
     for x in _pair(m, w):
         rho = encryption_channel_density(x, alpha, d, n_max)
-        ref = ref_channel_entries(x, alpha, d, n_max)
-        assert np.array_equal(rho.entries, ref)
+        psi = codeword_fock(x, alpha, n_max).amps
+        # a sum of d products, each within a few ulps: Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed., section 3.1
+        bound = 4 * (d + 1) * 2.0 ** -53 * np.outer(np.abs(psi), np.abs(psi))
+        assert np.all(np.abs(rho.entries - ref_channel_entries(x, alpha, d, n_max)) <= bound)
+        assert np.all(np.abs(rho.entries - rho.entries.conj().T) <= bound)
+        assert np.all(rho.entries[np.outer(psi, psi.conj()) == 0] == 0)
         np.testing.assert_array_equal(rho.sectors, total_photon_numbers(n_max, m) % d)
+        again = encryption_channel_density(x, alpha, d, n_max)
+        assert again.entries.tobytes() == rho.entries.tobytes()
+        assert again.sectors.tobytes() == rho.sectors.tobytes()
 
 
-# the channel is built over tiles of fock._TILE = 128 states: grids of 127,
-# 128 and 129 states (one mode, and 2^7 for seven), 169 with one key and
-# with more keys than totals, and the oracle benchmark's 729-state shape,
-# whose last tile is partial
+@pytest.mark.parametrize("m,alpha,d,w", CHANNEL_GRID)
+def test_channel_entries_equal_per_amplitude_exponentials(m, alpha, d, w):
+    # equal to within rounding: the one product sums the keys in its own order
+    _check_channel(m, truncation_bound(m * alpha ** 2), alpha, d, w)
+
+
+# the Hermitian check runs over tiles of fock._TILE = 128 states: grids of
+# 127, 128 and 129 states (one mode, and 2^7 for seven), 169 with one key
+# and with more keys than totals, and the oracle benchmark's 729-state
+# shape, whose last tile is partial
 TILE_GRID = [(1, 126, 3.0, 3, 1), (1, 127, 3.0, 3, 1), (1, 128, 3.0, 3, 1),
              (7, 1, 0.3, 3, 2), (2, 12, 0.7, 1, 1), (2, 12, 0.7, 30, 2), (3, 8, 0.21, 3, 1)]
 
 
 @pytest.mark.parametrize("m,n_max,alpha,d,w", TILE_GRID)
 def test_channel_entries_keep_their_bits_across_tiles(m, n_max, alpha, d, w):
-    for x in _pair(m, w):
-        rho = encryption_channel_density(x, alpha, d, n_max)
-        ref = ref_channel_entries(x, alpha, d, n_max)
-        # every byte, so that even the sign of each zero is the whole-matrix one
-        assert rho.entries.tobytes() == ref.tobytes()
-        np.testing.assert_array_equal(rho.sectors, total_photon_numbers(n_max, m) % d)
+    # a second build keeps every byte; the entries match the key sum to rounding
+    _check_channel(m, n_max, alpha, d, w)
+
+
+# the vacuum, whose amplitudes vanish above the empty state (a coherent
+# codeword has no zero amplitude on the grids above)
+@pytest.mark.parametrize("m,n_max,d", [(1, 5, 40), (2, 3, 3), (3, 4, 5)])
+def test_vacuum_channel_is_zero_off_the_empty_state(m, n_max, d):
+    _check_channel(m, n_max, 0.0, d, 1)
 
 
 def _peak_bytes(fn, *args):
@@ -115,13 +133,14 @@ def _peak_bytes(fn, *args):
 
 def test_dense_oracle_makes_no_full_size_temporary():
     # the oracle benchmark's three-mode shape: 729 states, 8.5 MB per matrix.
-    # A whole-matrix build peaks at about three matrices, and forming
-    # rho - sigma first adds about 1.67 matrices to the distance.
+    # The one product holds the matrix and the d rotated codewords; a full-size
+    # scaled copy or Hermitization would add a matrix, and forming rho - sigma
+    # first adds about 1.67 matrices to the distance.
     u, v = _pair(3, 1)
     rho = encryption_channel_density(u, 0.21, 3, 8)
     sigma = encryption_channel_density(v, 0.21, 3, 8)
     matrix = rho.entries.nbytes
-    assert _peak_bytes(encryption_channel_density, u, 0.21, 3, 8) <= 1.5 * matrix
+    assert _peak_bytes(encryption_channel_density, u, 0.21, 3, 8) <= 1.25 * matrix
     assert _peak_bytes(trace_distance_numeric, rho, sigma) <= 1.25 * matrix
 
 
