@@ -37,7 +37,8 @@ _SERIES_CACHE_SIZE = 256
 SECTOR_LEAK_TOL = 1e-12
 
 # Rows and columns of one tile of a dense operator's Hermitian check: the
-# check holds a 256 kB tile at a time, never a full-size difference.
+# check holds a 256 kB tile at a time, never a full-size difference.  The
+# sector-wise eigensolve sums its off-sector leak over slices of _TILE rows.
 _TILE = 128
 
 
@@ -99,15 +100,20 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
     """Poisson(E) probabilities e^{-E} E^t / t! for t = 0..n, n the cutoff.
 
     n is the smallest count whose tail mass beyond n is below eps.  The
-    terms follow p_t = p_{t-1} E / t from the first normal one.  Up to
-    E ~ 708.4 that is e^{-E} at t = 0 and a scalar loop, (p E) / t left to
-    right, which keeps the bits the goldens pin.  Past that, no golden pins
-    them, and a loop of thousands of steps would cost most of a sweep row:
-    the terms are one np.cumprod of E / t seeded with the first normal term
+    terms follow p_t = p_{t-1} E / t from the first normal one, until the
+    first t > E whose term is below eps * 1e-6.  Up to E ~ 708.4 that is
+    e^{-E} at t = 0 and a scalar loop, (p E) / t left to right, which keeps
+    the bits the goldens pin; its steps up to t = floor(E) + 1 never stop,
+    so only the tail tests the stop rule.  Past that, no golden pins them,
+    and a loop of thousands of steps would cost most of a sweep row: the
+    terms are one np.cumprod of E / t seeded with the first normal term
     (same cutoff as the loop, terms within 1e-12 relative), the terms below
     the start are 0 and the kept ones are divided by their sum, which
-    rounding in the log-form start would lift above 1.  Raises
-    CapacityError when n would exceed hard_cap.
+    rounding in the log-form start would lift above 1.  The product runs
+    over t up to E + 12 sqrt(E) + 64, where the rule stops it for every
+    eps down to about 1e-25, and over the cap's whole window only if the
+    rule does not fire there; being sequential, it gives the same bits
+    either way.  Raises CapacityError when n would exceed hard_cap.
 
     Each series is computed once per process: the result is memoized, for
     the last _SERIES_CACHE_SIZE (E, eps, hard_cap), and returned read-only
@@ -130,18 +136,25 @@ def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     # the tail values carry no cancellation error.
     start, x = _poisson_start(E)
     if start:
-        # one cumulative product over the whole window, cut where the loop
-        # below would stop: the first t > E whose term is below eps * 1e-6
-        t = np.arange(start + 1, limit + 2)
-        terms = np.cumprod(np.concatenate(([x], E / t)))
-        stops = np.flatnonzero((terms[1:] < eps * 1e-6) & (t > E))
+        # one cumulative product, cut where the loop below would stop: the
+        # first t > E whose term is below eps * 1e-6.  The product runs in
+        # order, so a window sized from E holds the first terms of the full
+        # one, bit for bit; the full window is taken only when it misses
+        for end in (min(math.ceil(E + 12.0 * math.sqrt(E)) + 64, limit + 1), limit + 1):
+            t = np.arange(start + 1, end + 1)
+            terms = np.cumprod(np.concatenate(([x], E / t)))
+            stops = np.flatnonzero((terms[1:] < eps * 1e-6) & (t > E))
+            if len(stops):
+                break
         t = int(t[stops[0]]) if len(stops) else limit + 1
         terms = terms[:t - start + 1]
     else:
-        # the goldens pin these bits: x E / t, left to right, from e^{-E}
-        terms = [x]
-        t = start
-        while (x >= eps * 1e-6 or t <= E) and t <= limit:
+        # the goldens pin these bits: x E / t, left to right, from e^{-E};
+        # every step up to t = floor(E) + 1 is taken, so only the tail
+        # tests the stop rule
+        t = math.floor(E) + 1
+        terms = [x] + [x := x * E / s for s in range(1, t + 1)]
+        while x >= eps * 1e-6 and t <= limit:
             t += 1
             x = x * E / t
             terms.append(x)
@@ -365,24 +378,31 @@ def _sector_eigvalsh(mat: np.ndarray, sectors: np.ndarray,
                      minus: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues of the diagonal blocks of Hermitian mat - minus over equal sector labels.
 
-    minus defaults to zero.  Each sector's rows are taken straight from the
-    two matrices, mat[idx] - minus[idx]: the bits of (mat - minus)[idx],
-    without forming the whole difference.  Raises ValueError unless the
-    dropped off-block part E of mat - minus obeys (1/2) sqrt(dim) ||E||_F
-    <= SECTOR_LEAK_TOL.  Since ||E||_1 <= sqrt(dim) ||E||_F, half the summed
-    |eigenvalues| is then within SECTOR_LEAK_TOL of the full eigensolve's,
-    and (Weyl) every eigenvalue moves by at most ||E||_2 <= ||E||_F.
+    minus defaults to zero.  Each sector's block is one gather from each
+    matrix, mat[ix] - minus[ix] with ix = np.ix_(idx, idx): the bits of
+    (mat - minus)[ix], without forming the whole difference.  Raises
+    ValueError unless the dropped off-block part E of mat - minus obeys
+    (1/2) sqrt(dim) ||E||_F <= SECTOR_LEAK_TOL.  Since ||E||_1 <= sqrt(dim)
+    ||E||_F, half the summed |eigenvalues| is then within SECTOR_LEAK_TOL of
+    the full eigensolve's, and (Weyl) every eigenvalue moves by at most
+    ||E||_2 <= ||E||_F.  ||E||_F^2 is summed over contiguous slices of _TILE
+    rows of mat - minus, formed one at a time in one buffer with their
+    same-sector entries zeroed; with one sector there is no E.
     """
-    lams = []
-    leak = 0.0
     order = np.argsort(sectors, kind="stable")
+    lams = []
     for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
-        rows = mat[idx]
-        if minus is not None:
-            rows -= minus[idx]
-        lams.append(np.linalg.eigvalsh(rows[:, idx]))
-        rows[:, idx] = 0.0
-        leak += float(np.vdot(rows, rows).real)
+        ix = np.ix_(idx, idx)
+        lams.append(np.linalg.eigvalsh(mat[ix] if minus is None else mat[ix] - minus[ix]))
+    leak = 0.0
+    if len(lams) > 1:
+        buf = np.empty((min(_TILE, len(mat)), len(mat)), dtype=complex)
+        for lo in range(0, len(mat), _TILE):
+            rows = slice(lo, lo + _TILE)
+            off = np.subtract(mat[rows], 0.0 if minus is None else minus[rows],
+                              out=buf[:len(mat) - lo])
+            np.putmask(off, sectors[rows, None] == sectors, 0.0)
+            leak += float(np.vdot(off, off).real)
     bound = 0.5 * math.sqrt(len(mat) * leak)
     if not bound <= SECTOR_LEAK_TOL:  # a NaN leak fails too
         raise ValueError(f"operator is not block diagonal over its sectors: off-sector "
@@ -403,10 +423,10 @@ def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> floa
     summed over the blocks; otherwise the whole difference is one sector.
     The off-sector part is checked, not assumed, to move the result by at
     most SECTOR_LEAK_TOL (ValueError beyond).  rho - sigma is never formed
-    whole: each sector's rows are subtracted on their own, with the same
-    bits, so the blocks, eigenvalues and distance are those of the whole
-    difference.  eigvalsh is deterministic for identical input bits, which
-    keeps regression values stable.
+    whole: each sector's block is gathered from both and subtracted on its
+    own, with the same bits, so the blocks, eigenvalues and distance are
+    those of the whole difference.  eigvalsh is deterministic for identical
+    input bits, which keeps regression values stable.
     """
     if rho.dim != sigma.dim:
         raise ValueError("trace distance requires equal dimensions")

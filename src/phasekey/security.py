@@ -15,11 +15,13 @@ terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
 add them in index order (np.bincount, np.cumsum); that fixed order is what
 keeps the sweep CSVs byte-identical.  Past E ~ 708.4, where e^{-E} is no
 longer a normal double, the terms start at the first normal one, so the
-closed forms hold at every energy the cutoff cap admits.  The series and
-the class sums built from it are memoized per process (a bounded cache of
-read-only arrays, keyed by energy and tail for the series and by the frozen
-SecurityParams for the sums), so a sweep row that asks for the distance,
-the ratio and the limit at one energy builds the series and the sums once.
+closed forms hold at every energy the cutoff cap admits.  The series, the
+class sums built from it and the encrypted distance are memoized per
+process (bounded caches, of read-only arrays for the series and the sums,
+keyed by energy and tail for the series and by the frozen SecurityParams
+for the sums and the distance), so a sweep row that asks for the distance,
+the ratio and the limit at one energy builds the series and the sums once
+and the distance once.
 Every closed form has a brute-force companion (the dense channel average of
 encoding with fock.trace_distance_numeric; here, the support-basis oracle,
 tuple enumeration and the numeric pretty-good measurement) so the formulas
@@ -51,7 +53,8 @@ SERIES_TAIL_EPS = 1e-14
 # Relative eigenvalue threshold for the pseudoinverse square root.
 PGM_PINV_CUT = 1e-12
 
-# Most parameter sets whose class sums _class_sums keeps.
+# Most parameter sets whose class sums _class_sums keeps, and whose
+# distance _distance keeps.
 _CLASS_SUMS_CACHE_SIZE = 64
 
 
@@ -130,10 +133,7 @@ def _class_sums(params: SecurityParams):
     if pois[0] > 0.0:
         c = (params.m - 2 * params.w) * params.abs_alpha ** 2
         x = float(pois[0])
-        signed = [x]
-        for t in range(1, len(pois)):
-            x = x * c / t
-            signed.append(x)
+        signed = [x] + [x := x * c / t for t in range(1, len(pois))]
     else:
         r = (params.m - 2 * params.w) / params.m
         signed = pois * np.cumprod(np.concatenate(([1.0], np.full(len(pois) - 1, r))))
@@ -184,7 +184,16 @@ def encrypted_trace_distance(params: SecurityParams) -> float:
     """Trace distance between key-averaged codewords differing in w bits.
 
     Sums q_k sqrt(1 - A_k^2) over the residue-class blocks at finite d.
+    Equal codewords (w = 0) are at distance 0.0 at any energy, with no
+    series, so no cutoff cap applies to them.
     """
+    return _distance(params)
+
+
+@functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
+def _distance(params: SecurityParams) -> float:
+    if params.w == 0:
+        return 0.0
     q, s = _class_sums(params)
     present = q >= EMPTY_BLOCK_FLOOR
     a = np.minimum(1.0, np.maximum(-1.0, s[present] / q[present]))
@@ -196,7 +205,10 @@ def encrypted_trace_distance_limit(params: SecurityParams) -> float:
     """The d -> infinity value: sum_{k>=1} e^{-E} E^k / k! sqrt(1 - r^{2k}).
 
     r = (m - 2w)/m; the k = 0 block never contributes since A_0 = 1.
+    It is 0.0 at w = 0 (r = 1) at any energy, with no series.
     """
+    if params.w == 0:
+        return 0.0
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
     r2 = ((params.m - 2 * params.w) / params.m) ** 2
     r2k = np.cumprod(np.full(len(pois) - 1, r2))  # k = 1..t_max

@@ -321,6 +321,17 @@ class TestSecuritySweep:
         assert float(value) == encrypted_trace_distance(
             SecurityParams(m=1, d=3, abs_alpha=0.3, w=1))
 
+    def test_equal_codewords_past_the_series_cap_are_at_distance_zero(self, tmp_path, capsys):
+        # E = 4900 puts the tail-1e-14 series past the 4096 cap: equal
+        # codewords need no series, distinct ones still exceed the capacity
+        args = ["security-sweep", "--quantity", "enc_distance", "--m", "1", "--d", "4",
+                "--alpha-min", "70", "--alpha-max", "70", "--alpha-step", "1"]
+        out = tmp_path / "sweep.csv"
+        assert run_cli(args + ["--w", "0", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == ["enc_distance,1,4,70,4900,0,0"]
+        assert run_cli(args + ["--w", "1", "--out", str(tmp_path / "w1.csv")]) == 3
+        assert "capacity" in capsys.readouterr().err
+
 
 class TestMutinfo:
     def test_header_and_values(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasekey.encoding import BitString, encryption_channel_density
-from phasekey.fock import poisson_terms, trace_distance_numeric, truncation_bound
+from phasekey.fock import CapacityError, poisson_terms, trace_distance_numeric, truncation_bound
 from phasekey.security import (
     SERIES_TAIL_EPS,
     PgmResult,
@@ -382,3 +382,27 @@ class TestPgm:
     def test_information_increases_with_amplitude(self):
         vals = [pgm_closed_form(a).i_single for a in np.linspace(0, 3, 31)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+class TestEqualCodewords:
+    # E = 4900: the tail-1e-14 cutoff of the Poisson series passes the 4096 cap
+    @pytest.mark.parametrize("d", [1, 2, 7, 100])
+    def test_distance_past_the_cap_is_zero(self, d):
+        p = params(1, d, 70.0, 0)
+        assert encrypted_trace_distance(p) == 0.0
+        assert encrypted_trace_distance_limit(p) == 0.0
+        # distinct codewords at the same energy still fail loudly
+        with pytest.raises(CapacityError):
+            encrypted_trace_distance(params(2, d, 70.0, 1))
+        with pytest.raises(CapacityError):
+            encrypted_trace_distance_limit(params(2, d, 70.0, 1))
+
+    @pytest.mark.parametrize("E", [0.0, 1e-3, 2.5, 40.0, 700.0, 710.0, 3000.0])
+    @pytest.mark.parametrize("m,d", [(1, 2), (5, 3), (40, 1000)])
+    def test_series_inside_the_cap_gives_zero_too(self, E, m, d):
+        # where the series exists, every block overlap is exactly 1, so the
+        # early return at w = 0 moves no value
+        p = params(m, d, math.sqrt(E / m), 0)
+        assert all(qk_ak_finite(p, k)[1] == 1.0 for k in range(d))
+        assert encrypted_trace_distance(p) == 0.0
+        assert encrypted_trace_distance_limit(p) == 0.0

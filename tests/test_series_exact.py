@@ -7,9 +7,11 @@ and energies up to E = 700, and at the edge of the e^{-E} underflow
 (E = 705 and -ln of the smallest normal double).  Past that edge the
 series start at their first normal term and are cumulative products; there
 the cutoffs and CapacityError cases must equal those of the scalar loop
-they replace, and the terms and class sums must agree within 1e-12.  The
-memoized series and class sums must also equal the references on a
-repeated call, be read-only and be keyed by every input.
+they replace, and the terms and class sums must agree within 1e-12; the
+product over a window sized from E must give the bits of the product over
+the cap's whole window.  The memoized series, class sums and distance must
+also equal the references on a repeated call and be keyed by every input,
+and the arrays must be read-only.
 """
 
 import math
@@ -416,3 +418,133 @@ def test_closed_forms_at_the_underflow_edge_equal_reference():
         pairs.append((("limit", p), encrypted_trace_distance_limit(p), ref_limit(p)))
         pairs += [(("qk_ak", p, k), qk_ak_finite(p, k), ref_qk_ak(q, s, k)) for k in range(p.d)]
     assert _mismatches(pairs) == []
+
+
+# --- series sized to their support ----------------------------------------------------
+# Up to UNDERFLOW_E the loop takes every step t = 1..floor(E) + 1 unconditionally
+# and tests its stop rule only on the tail; past it, the cumulative product runs
+# over a window sized from E and falls back to the full window only when the stop
+# rule does not fire inside it.  Either way the bits, the cutoff and the
+# CapacityError cases must be those of the full-window product.
+
+def ref_full_window_terms(E, eps, hard_cap=HARD_CUTOFF_CAP):
+    """poisson_terms past the underflow as one cumulative product over the whole window."""
+    limit = 2 * hard_cap + 64
+    if not E <= limit:
+        raise CapacityError("cap")
+    start, x = _poisson_start(E)
+    assert start > 0
+    t = np.arange(start + 1, limit + 2)
+    terms = np.cumprod(np.concatenate(([x], E / t)))
+    stops = np.flatnonzero((terms[1:] < eps * 1e-6) & (t > E))
+    t = int(t[stops[0]]) if len(stops) else limit + 1
+    terms = terms[:t - start + 1]
+    tails = np.cumsum(terms[::-1])[::-1]
+    below = np.flatnonzero(tails[1:] < eps)
+    if t > limit or len(below) == 0 or start + below[0] > hard_cap:
+        raise CapacityError("cap")
+    kept = terms[:below[0] + 1]
+    return np.concatenate((np.zeros(start), kept / kept.sum()))
+
+
+def _bytes_or_error(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except CapacityError:
+        return None
+
+
+def _window_end(E):
+    # the window the series first tries; the tests below need both sides of it
+    return math.ceil(E + 12.0 * math.sqrt(E)) + 64
+
+
+# past E ~ 3600 the tail-1e-14 cutoff passes the default cap, and past
+# 2 * cap + 64 = 8256 every energy is refused before any series
+WINDOW_E = (_large_energies(20261021, 300, 2 * HARD_CUTOFF_CAP + 64)
+            + [3550.0, 3600.0, 3650.0, 3700.0, 8256.0, math.nextafter(8256.0, math.inf)])
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-14, 1e-40, 1e-100])
+def test_windowed_series_equal_the_full_window(eps):
+    # at 1e-40 and 1e-100 the stop rule fires past the first window at every
+    # energy below the cap, so the fallback runs
+    mismatches = []
+    for E in WINDOW_E:
+        got = _bytes_or_error(poisson_terms, E, eps)
+        want = _bytes_or_error(ref_full_window_terms, E, eps)
+        if got != want:
+            mismatches.append(E)
+    assert mismatches == []
+
+
+def test_windowed_series_cover_the_fallback_and_the_cap():
+    cutoffs = {}
+    for eps in (1e-14, 1e-40):
+        for E in (1000.0, 3000.0):
+            cutoffs[eps, E] = truncation_bound(E, eps)
+    # 1e-14 stops inside the first window, 1e-40 only past it
+    assert all(cutoffs[1e-14, E] < _window_end(E) for E in (1000.0, 3000.0))
+    assert all(cutoffs[1e-40, E] >= _window_end(E) for E in (1000.0, 3000.0))
+    # both sides of the cap at tail 1e-14, and refused before the series past 8256
+    assert _bytes_or_error(poisson_terms, 3550.0, SERIES_TAIL_EPS) is not None
+    assert _bytes_or_error(poisson_terms, 3700.0, SERIES_TAIL_EPS) is None
+    assert _bytes_or_error(ref_full_window_terms, 3700.0, SERIES_TAIL_EPS) is None
+
+
+@pytest.mark.parametrize("hard_cap", [1500, 2000, 3000])
+def test_windowed_series_keep_the_capacity_cases_of_small_caps(hard_cap):
+    # the window can reach past the cap's own, shorter, full window
+    energies = [float(E) for E in np.linspace(709.0, 2 * hard_cap + 64, 120)]
+    for eps in (1e-10, 1e-40):
+        pairs = [(E, _bytes_or_error(poisson_terms, E, eps, hard_cap),
+                  _bytes_or_error(ref_full_window_terms, E, eps, hard_cap)) for E in energies]
+        assert _mismatches(pairs) == []
+        outcomes = {got is None for _, got, _ in pairs}
+        assert outcomes == {True, False}
+
+
+def _integer_energies():
+    energies = []
+    for E in (1.0, 40.0, 100.0, 708.0):
+        energies += [math.nextafter(E, 0.0), E, math.nextafter(E, math.inf)]
+    return energies
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-14])
+@pytest.mark.parametrize("E", _integer_energies())
+def test_loop_head_without_stop_test_equals_reference(E, eps):
+    # floor(E) + 1 steps are taken without the stop test: at an integer E and
+    # its neighbours that head ends one step to either side of E
+    n = ref_truncation_bound(E, eps)
+    assert truncation_bound(E, eps) == n
+    assert poisson_terms(E, eps).tobytes() == ref_series(E, E, n).tobytes()
+
+
+# --- memoized distance ----------------------------------------------------------------
+
+def test_memoized_distance_equals_the_reference_on_every_call():
+    from phasekey import security
+
+    p = SecurityParams(m=7, d=11, abs_alpha=math.sqrt(321.5 / 7), w=3)
+    want = ref_distance(p)
+    first = encrypted_trace_distance(p)
+    hits = security._distance.cache_info().hits
+    assert first == want
+    assert encrypted_trace_distance(p) == want
+    assert encrypted_trace_distance(SecurityParams(m=7, d=11, abs_alpha=p.abs_alpha, w=3)) == want
+    assert security._distance.cache_info().hits == hits + 2
+
+
+def test_memoized_distance_is_keyed_by_every_parameter():
+    # each variant differs from the first in one field; all share E = 1 but
+    # the one with another |alpha|
+    variants = [SecurityParams(m=4, d=6, abs_alpha=0.5, w=1),
+                SecurityParams(m=1, d=6, abs_alpha=1.0, w=1),
+                SecurityParams(m=4, d=5, abs_alpha=0.5, w=1),
+                SecurityParams(m=4, d=6, abs_alpha=0.75, w=1),
+                SecurityParams(m=4, d=6, abs_alpha=0.5, w=2)]
+    wants = [ref_distance(p) for p in variants]
+    assert len(set(wants)) == len(wants)
+    for _ in range(2):
+        assert [encrypted_trace_distance(p) for p in variants] == wants
