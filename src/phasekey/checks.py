@@ -19,6 +19,7 @@ from .encoding import BitString, apply_sign_flips, block_decomposition, encrypti
 from .fock import (
     coherent_fock,
     density_from_fock,
+    distance_cutoff,
     overlap,
     trace_distance_numeric,
     truncation_bound,
@@ -59,7 +60,7 @@ def _check_coherent_overlap() -> CheckResult:
 def _check_unencrypted_distance() -> CheckResult:
     dev = 0.0
     for m, w, alpha in [(1, 1, 0.5), (1, 1, 1.0), (2, 1, 0.7), (2, 2, 0.7)]:
-        n_max = truncation_bound(m * alpha ** 2, 1e-12)
+        n_max = distance_cutoff(m * alpha ** 2, 1e-8)
         u = coherent_fock([alpha] * m, n_max)
         signs = [-alpha] * w + [alpha] * (m - w)
         v = coherent_fock(signs, n_max)
@@ -89,7 +90,7 @@ def _check_encrypted_dense() -> CheckResult:
     dev = 0.0
     for m in (1, 2):
         for alpha in (0.3, 0.7, 1.0):
-            n_max = truncation_bound(m * alpha ** 2)
+            n_max = distance_cutoff(m * alpha ** 2, 1e-6)
             for d in (2, 3, 5):
                 for w in range(m + 1):
                     p = SecurityParams(m=m, d=d, abs_alpha=alpha, w=w)
@@ -106,7 +107,7 @@ def _check_encrypted_support_basis() -> CheckResult:
     dev = 0.0
     m = 3
     for alpha in (0.3, 0.7, 1.0, 1.5):
-        n_max = truncation_bound(m * alpha ** 2)
+        n_max = distance_cutoff(m * alpha ** 2, 1e-6)
         for d in (2, 3, 5, 8):
             for w in range(1, m + 1):
                 p = SecurityParams(m=m, d=d, abs_alpha=alpha, w=w)
@@ -159,7 +160,7 @@ def _check_complement_numeric() -> CheckResult:
     dev = 0.0
     for m in (1, 2, 3):
         alpha = 0.8
-        n_max = truncation_bound(m * alpha ** 2)
+        n_max = distance_cutoff(m * alpha ** 2, 1e-10)
         for d in (2, 4):
             u = BitString((0,) * m)
             v = BitString((1,) * m)

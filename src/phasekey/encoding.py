@@ -24,7 +24,7 @@ from .fock import (
     total_photon_numbers,
 )
 
-# Most basis states, (n_max+1)^m, of a dense channel average.  The average
+# Most basis states, C(n_max+m, m), of a dense channel average.  The average
 # is one matrix of at most 4096^2 complex entries (16 bytes each, 268 MB),
 # plus the d rotated codewords and the 128 x 128 tiles of its Hermitian check.
 DENSE_CHANNEL_CAP = 4096

@@ -160,26 +160,6 @@ def cat_state_target(alpha: complex, n_max: int) -> FockVector:
     return FockVector(cutoff=n_max, modes=1, amps=amps)
 
 
-def _interferometer_blocks(u: Interferometer, cutoff: int):
-    """Yield (a, b, block) for every fixed-total block above the vacuum.
-
-    block is the lifted unitary on the sectors order[a:b] of
-    fock.sector_tables(cutoff, u.modes), built from the block below by the
-    one-photon recursion of interferometer_fock.
-    """
-    m = u.modes
-    _, starts, all_roots, all_down, all_peel = sector_tables(cutoff, m)
-    block = np.ones((1, 1), dtype=complex)
-    for n in range(1, len(starts) - 1):
-        a, b = starts[n], starts[n + 1]
-        roots, down, peel = all_roots[a:b], all_down[a:b], all_peel[a:b]
-        cols = np.arange(b - a)
-        prev = block[:, down[cols, peel]]
-        block = sum(roots[:, j, None] * prev[down[:, j]] * u.u[j, peel]
-                    for j in range(m)) / roots[cols, peel]
-        yield a, b, block
-
-
 def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
     """Apply a passive m-mode unitary in the number basis.
 
@@ -194,11 +174,8 @@ def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
 
     It is the one number-basis interferometer, for every m and every
     unitary; a two-mode beamsplitter exp(theta (a^dag b - a b^dag)) is the
-    matrix [[cos theta, sin theta], [-sin theta, cos theta]].  Blocks with
-    total n <= cutoff are the exact lifted unitary.  Above that the
-    per-mode cutoff clips a block to the exact elements between kept
-    occupations, so the norm there can only fall, by the mass the unitary
-    moves past the cutoff.
+    matrix [[cos theta, sin theta], [-sin theta, cos theta]].  The grid
+    holds every block whole, so the lift is exact there and keeps the norm.
     """
     return _lift_interferometer(u, [psi])[0]
 
@@ -206,18 +183,22 @@ def interferometer_fock(u: Interferometer, psi: FockVector) -> FockVector:
 def _lift_interferometer(u: Interferometer, states: list) -> list:
     """interferometer_fock on every state of one grid, each block built once.
 
-    Every block is applied to each state in turn before the next one is
-    built, so only one block is held at a time and each result has the
-    bits of interferometer_fock on that state alone.
+    Block n (sector n of fock.sector_tables) is built from block n - 1 and
+    applied to each state before the next is built, so one block is held at
+    a time and each result has the bits of interferometer_fock on it alone.
     """
     cutoff, m = states[0].cutoff, states[0].modes
     if u.modes != m:
         raise ValueError("interferometer size must match the mode count")
-    order = sector_tables(cutoff, m)[0]
-    grouped = np.array([s.amps[order] for s in states])
-    for a, b, block in _interferometer_blocks(u, cutoff):
-        for g in grouped:
-            g[a:b] = block @ g[a:b]
-    amps = np.empty_like(grouped)
-    amps[:, order] = grouped
+    starts, all_roots, all_down, all_peel = sector_tables(cutoff, m)
+    amps = np.array([s.amps for s in states])
+    block = np.ones((1, 1), dtype=complex)
+    for a, b in zip(starts[1:-1], starts[2:]):
+        roots, down, peel = all_roots[a:b], all_down[a:b], all_peel[a:b]
+        cols = np.arange(b - a)
+        prev = block[:, down[cols, peel]]
+        block = sum(roots[:, j, None] * prev[down[:, j]] * u.u[j, peel]
+                    for j in range(m)) / roots[cols, peel]
+        for row in amps:
+            row[a:b] = block @ row[a:b]
     return [replace(s, amps=row) for s, row in zip(states, amps)]

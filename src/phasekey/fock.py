@@ -1,16 +1,14 @@
 """Truncated Fock-space linear algebra for multimode coherent states.
 
-Everything works in the photon-number basis with a per-mode cap n_max.
-Multimode amplitudes are flat arrays indexed lexicographically by
-occupation tuple (z_1, ..., z_m) with z_1 most significant, which is
-exactly the index order produced by chained Kronecker products of
-single-mode vectors.  This module alone knows that layout: one cached,
-read-only index per grid behind occupation_array and total_photon_numbers,
-grid_size and block_entries for its sizes without a huge power,
-sector_tables for its fixed-total blocks, mode_overlap_norms for per-mode
-contractions, tile_pairs for the tiles dense operators are checked in,
-and mean_photon_number for the energy m|alpha|^2 that sets its cutoff
-(inf where a double overflows).
+The photon-number basis is cut on the total: the grid of cutoff n_max on
+m modes holds the C(n_max+m, m) occupations z with z_1 + ... + z_m <=
+n_max, ordered by total, then lexicographically with z_1 most significant,
+so sector n (total n) is one slice and one mode is 0..n_max.  Only this
+module knows that layout: occupation_array, total_photon_numbers and
+sector_sizes read one cached index per grid, grid_size and block_entries
+size it without a huge binomial, sector_tables gives its fixed-total
+blocks and mode_overlap_norms its per-mode contractions; mean_photon_number
+(inf past a double) and distance_cutoff give its cutoff.
 """
 
 from __future__ import annotations
@@ -101,19 +99,12 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
 
     n is the smallest count whose tail mass beyond n is below eps.  The
     terms follow p_t = p_{t-1} E / t from the first normal one, until the
-    first t > E whose term is below eps * 1e-6.  Up to E ~ 708.4 that is
-    e^{-E} at t = 0 and a scalar loop, (p E) / t left to right, which keeps
-    the bits the goldens pin; its steps up to t = floor(E) + 1 never stop,
-    so only the tail tests the stop rule.  Past that, no golden pins them,
-    and a loop of thousands of steps would cost most of a sweep row: the
-    terms are one np.cumprod of E / t seeded with the first normal term
-    (same cutoff as the loop, terms within 1e-12 relative), the terms below
-    the start are 0 and the kept ones are divided by their sum, which
-    rounding in the log-form start would lift above 1.  The product runs
-    over t up to E + 12 sqrt(E) + 64, where the rule stops it for every
-    eps down to about 1e-25, and over the cap's whole window only if the
-    rule does not fire there; being sequential, it gives the same bits
-    either way.  Raises CapacityError when n would exceed hard_cap.
+    first t > E whose term is below eps * 1e-6: up to E ~ 708.4 a scalar
+    loop from e^{-E}, whose bits the goldens pin, and past it one
+    np.cumprod (same cutoff, terms within 1e-12 relative) whose terms below
+    the start are 0 and whose kept ones are divided by their sum, which
+    rounding in the log-form start would lift above 1.  Raises
+    CapacityError when n would exceed hard_cap.
 
     Each series is computed once per process: the result is memoized, for
     the last _SERIES_CACHE_SIZE (E, eps, hard_cap), and returned read-only
@@ -184,15 +175,51 @@ def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_
     return len(poisson_terms(abs_alpha_sq_total, eps, hard_cap)) - 1
 
 
-@functools.lru_cache(maxsize=8)
-def _grid(n_max: int, modes: int):
-    """(occupations, totals) of the grid, read-only: row i and total of flat index i."""
+def distance_cutoff(abs_alpha_sq_total: float, tol: float) -> int:
+    """truncation_bound(E, tol ** 2): dropped mass eps moves a distance by up to about sqrt(eps)."""
+    return truncation_bound(abs_alpha_sq_total, tol ** 2)
+
+
+def _check_grid(n_max: int, modes: int) -> None:
     if n_max < 0 or modes < 1:
         raise ValueError(f"a grid needs n_max >= 0 and modes >= 1, got {n_max} and {modes}")
-    occ = np.indices((n_max + 1,) * modes).reshape(modes, -1).T
-    totals = occ.sum(axis=1)
-    occ.flags.writeable = totals.flags.writeable = False
-    return occ, totals
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(n_max: int, modes: int):
+    """(occupations, totals, starts, binomials) of the grid, read-only.
+
+    Row i of occupations is the tuple at flat index i, sector n is rows
+    starts[n]:starts[n+1], and binomials[k, s + 1] = C(s+k, k) counts the
+    k-mode tuples of total at most s (0 at s = -1), k = 0..modes.
+    """
+    _check_grid(n_max, modes)
+    binomials = np.zeros((modes + 1, n_max + 2), dtype=np.int64)
+    binomials[0, 1:] = 1
+    for k in range(1, modes + 1):
+        binomials[k, 1:] = np.cumsum(binomials[k - 1, 1:])
+    occ, totals = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(modes):  # a new first mode, with each count the cutoff leaves room for
+        room = n_max - totals + 1
+        first = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        occ = np.column_stack([first, np.repeat(occ, room, axis=0)])
+        totals = np.repeat(totals, room) + first
+    order = np.lexsort(np.vstack([occ.T[::-1], totals]))  # total, then z_1, z_2, ...
+    grid = (occ[order], totals[order], binomials[modes], binomials)
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+def _rank(occ: np.ndarray, binomials: np.ndarray) -> np.ndarray:
+    """Index of each k-mode row of occ inside its fixed-total sector, in the grid's order.
+
+    With S_i = z_i + ... + z_k (modes from 1), the sum over i < k of
+    C(S_i+k-i, k-i) - C(S_{i+1}+k-i, k-i): the combinatorial number system.
+    """
+    suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    order = np.arange(occ.shape[1] - 1, 0, -1)
+    return (binomials[order, suffix[:, :-1] + 1] - binomials[order, suffix[:, 1:] + 1]).sum(axis=1)
 
 
 def occupation_array(n_max: int, modes: int) -> np.ndarray:
@@ -205,80 +232,58 @@ def total_photon_numbers(n_max: int, modes: int) -> np.ndarray:
     return _grid(n_max, modes)[1]
 
 
-def grid_size(n_max: int, modes: int, cap: int) -> int:
-    """min((n_max+1)^modes, cap + 1), in at most cap.bit_length() + 1 products."""
-    if n_max < 0 or modes < 1:
-        raise ValueError(f"a grid needs n_max >= 0 and modes >= 1, got {n_max} and {modes}")
-    size = 1
-    for _ in range(modes if n_max else 0):
-        size *= n_max + 1
-        if size > cap:
-            return cap + 1
-    return size
-
-
 def sector_sizes(n_max: int, modes: int) -> np.ndarray:
-    """Occupation tuples per total 0..modes*n_max, the coefficients of (1+x+...+x^n_max)^modes."""
-    sizes = np.ones(1, dtype=np.int64)
-    for _ in range(modes):
-        sizes = np.convolve(sizes, np.ones(n_max + 1, dtype=np.int64))
-    return sizes
+    """Occupation tuples per total 0..n_max, C(n+modes-1, modes-1)."""
+    return np.diff(_grid(n_max, modes)[2])
+
+
+def grid_size(n_max: int, modes: int, cap: int) -> int:
+    """min(C(n_max+modes, modes), cap + 1), in at most cap.bit_length() + 1 products."""
+    _check_grid(n_max, modes)
+    small, big = sorted((n_max, modes))
+    size = 1
+    for i in range(1, small + 1):  # C(big+i, i), at least doubling each step
+        size = size * (big + i) // i
+        if size > cap:
+            break
+    return min(size, cap + 1)
 
 
 def block_entries(n_max: int, modes: int, cap: int) -> int:
-    """min(sum_n d_n^2, cap + 1) over the grid's block sizes d_n = sector_sizes(n_max, modes)."""
-    size = grid_size(n_max, modes, cap)  # entries >= amplitudes: sum only a grid within the cap
-    if n_max and size <= cap:
-        size = min(int(np.sum(sector_sizes(n_max, modes) ** 2)), cap + 1)
-    return size
+    """min(sum_n d_n^2, cap + 1) over the grid's sector sizes d_n = C(n+modes-1, modes-1)."""
+    total = grid_size(n_max, modes, cap)  # entries >= states: sum only a grid within the cap
+    if modes > 1 and total <= cap:
+        total = size = 1
+        for n in range(1, n_max + 1):
+            size = size * (n + modes - 1) // n
+            total += size * size
+    return min(total, cap + 1)
 
 
 @functools.lru_cache(maxsize=8)
 def sector_tables(n_max: int, modes: int):
-    """(order, starts, roots, down, peel): the grid's fixed-total blocks, read-only.
+    """(starts, roots, down, peel): the grid's fixed-total blocks, read-only, built on first use.
 
-    order lists the flat indices grouped by total n (index order inside a
-    block), block n being order[starts[n]:starts[n+1]].  Row i of roots
-    holds sqrt(z_j) for the i-th occupation z in that order; down[i, j] is
-    the local index of z - e_j inside block n - 1 (0 where z_j = 0, which
-    roots zeroes out) and peel[i] the most occupied mode of z, the first
-    of them on a tie.  Removing a photon never leaves the grid, so every
-    block reaches the one below.  Built once per grid, on first use.
+    Block n is the slice starts[n]:starts[n+1].  For z at flat index i,
+    roots[i] is sqrt(z), down[i, j] the _rank of z - e_j in block n - 1 (0
+    where z_j = 0, which roots zeroes out), peel[i] z's first largest mode.
     """
-    occ, totals = _grid(n_max, modes)
-    order = np.argsort(totals, kind="stable")
-    starts = np.searchsorted(totals[order], np.arange(modes * n_max + 2))
-    local = np.empty(len(occ), dtype=np.int64)
-    local[order] = np.arange(len(occ)) - starts[totals[order]]
-    occ = occ[order]
-    # flat index of z - e_j is that of z less the place value of mode j
-    place = (n_max + 1) ** np.arange(modes - 1, -1, -1)
-    down = np.where(occ > 0, local[np.maximum(order[:, None] - place, 0)], 0)
-    tables = (order, starts, np.sqrt(occ), down, np.argmax(occ, axis=1))
+    occ, _, starts, binomials = _grid(n_max, modes)
+    down = np.stack([_rank(occ - e, binomials) for e in np.eye(modes, dtype=np.int64)], axis=1)
+    tables = (starts, np.sqrt(occ), np.where(occ > 0, down, 0), np.argmax(occ, axis=1))
     for arr in tables:
         arr.flags.writeable = False
     return tables
 
 
-def tile_pairs(dim: int):
-    """(rows, cols) slice pairs covering the upper triangle of a dim x dim matrix by tiles.
-
-    Tiles of _TILE indices, row tile before column tile; the diagonal
-    pairs have rows == cols, and every other entry lies in exactly one
-    pair's tile or its mirror (cols, rows).
-    """
-    tiles = [slice(lo, min(lo + _TILE, dim)) for lo in range(0, dim, _TILE)]
-    return [(rows, cols) for i, rows in enumerate(tiles) for cols in tiles[i:]]
-
-
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """A pure state on `modes` optical modes, truncated at photon cap `cutoff`.
+    """A pure state on `modes` optical modes, truncated at total photon number `cutoff`.
 
-    amps holds the (cutoff+1)^modes complex amplitudes in the lexicographic
-    occupation-tuple order of occupation_array, as a read-only copy of the
-    values given, so a later write to the caller's array cannot change the
-    state (or a wire body already encoded from it).
+    amps holds the C(cutoff+m, m) complex amplitudes in the order of
+    occupation_array, as a read-only copy of the values given, so a later
+    write to the caller's array cannot change the state (or a wire body
+    already encoded from it).
     """
 
     cutoff: int
@@ -291,27 +296,53 @@ class FockVector:
         object.__setattr__(self, "amps", amps)
         # grid_size also rejects cutoff < 0 and modes < 1
         if amps.ndim != 1 or grid_size(self.cutoff, self.modes, len(amps)) != len(amps):
-            raise ValueError(f"amplitude vector has shape {amps.shape}, expected "
-                             f"(cutoff+1)^m = {self.cutoff + 1}^{self.modes} entries")
+            want = grid_size(self.cutoff, self.modes, sys.maxsize)
+            raise ValueError(f"{amps.size} amplitudes in shape {amps.shape}, expected a vector of "
+                             f"C(cutoff+m, m) = C({self.cutoff + self.modes}, {self.modes}) = "
+                             f"{want if want <= sys.maxsize else 'over 2^63'}, one per occupation")
 
     def squared_norm(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
 
 def coherent_fock(amps: "np.ndarray | list | tuple", n_max: int) -> FockVector:
-    """Tensor product of coherent states with the given mode amplitudes."""
+    """Tensor product of coherent states with the given mode amplitudes.
+
+    Each amplitude multiplies its modes' coefficients left to right from
+    1+0j, the bits of chained np.kron at every occupation the grid keeps.
+    """
     amps = np.atleast_1d(np.asarray(amps, dtype=complex))
-    vec = np.array([1.0 + 0.0j])
-    for a in amps:
-        vec = np.kron(vec, coherent_coefficients(a, n_max))
+    occ = occupation_array(n_max, len(amps))
+    vec = np.full(len(occ), 1.0 + 0.0j)
+    for mode, a in enumerate(amps):
+        vec = vec * coherent_coefficients(a, n_max)[occ[:, mode]]
     return FockVector(cutoff=n_max, modes=len(amps), amps=vec)
 
 
+@functools.lru_cache(maxsize=8)
+def _mode_slots(n_max: int, modes: int):
+    """(rows, slots): amplitude i sits at flat slot slots[j, i] of mode j's matrix, read-only.
+
+    That rows x (n_max+1) matrix holds z at row (index of z without z_j on
+    the grid of the other modes), column z_j.
+    """
+    occ, totals, _, binomials = _grid(n_max, modes)
+    slots = np.stack([(binomials[modes - 1, totals - occ[:, j]] + _rank(np.delete(occ, j, axis=1),
+                       binomials)) * (n_max + 1) + occ[:, j] for j in range(modes)])
+    slots.flags.writeable = False
+    return int(binomials[modes - 1, -1]), slots
+
+
 def mode_overlap_norms(psi: FockVector, single: np.ndarray) -> np.ndarray:
-    """||<single|_j psi|| for each mode j, single holding one mode's cutoff+1 coefficients."""
-    tensor = psi.amps.reshape((psi.cutoff + 1,) * psi.modes)
-    return np.array([np.linalg.norm(np.tensordot(single.conj(), tensor, axes=([0], [mode])))
-                     for mode in range(psi.modes)])
+    """||<single|_j psi|| per mode j: conj(single) times mode j's _mode_slots matrix."""
+    rows, slots = _mode_slots(psi.cutoff, psi.modes)
+    bra = single.conj().reshape(1, -1)
+    norms = []
+    for slot in slots:
+        mat = np.zeros((rows, psi.cutoff + 1), dtype=complex)
+        mat.reshape(-1)[slot] = psi.amps
+        norms.append(np.linalg.norm(np.dot(bra, mat.T)))
+    return np.array(norms)
 
 
 def overlap(u: FockVector, v: FockVector) -> complex:
@@ -325,9 +356,9 @@ def overlap(u: FockVector, v: FockVector) -> complex:
 class DensityOperator:
     """Finite Hermitian operator on the truncated Fock space, stored dense.
 
-    The Hermitian check compares each tile with its mirror (tile_pairs),
-    so it forms no full-size difference; every entry still meets the 1e-12
-    rule, and a NaN or inf anywhere still fails it.
+    The Hermitian check compares each _TILE x _TILE tile of the upper
+    triangle with its mirror, so it forms no full-size difference; every
+    entry still meets the 1e-12 rule, and a NaN or inf anywhere fails it.
 
     sectors holds one integer label per basis state (default all zeros,
     one sector).  Eigensolves treat the operator as block diagonal over
@@ -347,8 +378,9 @@ class DensityOperator:
         # a NaN or inf entry makes its deviation NaN or inf, which fails the
         # check too; |E - E^H| is the same at (i, j) and (j, i), so the tile
         # pairs of the upper triangle cover every entry
+        tiles = [slice(lo, lo + _TILE) for lo in range(0, len(entries), _TILE)]
         with np.errstate(invalid="ignore", over="ignore"):
-            for rows, cols in tile_pairs(len(entries)):
+            for rows, cols in ((r, c) for i, r in enumerate(tiles) for c in tiles[i:]):
                 diff = np.conj(entries[cols, rows].T, order="C")
                 np.subtract(entries[rows, cols], diff, out=diff)
                 if not np.abs(diff).max() <= 1e-12:  # a NaN fails; max(0.0, nan) would not
@@ -418,15 +450,10 @@ def density_from_fock(psi: FockVector) -> DensityOperator:
 def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Trace distance (1/2)||rho - sigma||_1 by Hermitian eigensolves, one per sector.
 
-    When rho and sigma carry equal sector labels, each sector's diagonal
-    block of rho - sigma is eigensolved on its own and |eigenvalues| are
-    summed over the blocks; otherwise the whole difference is one sector.
-    The off-sector part is checked, not assumed, to move the result by at
-    most SECTOR_LEAK_TOL (ValueError beyond).  rho - sigma is never formed
-    whole: each sector's block is gathered from both and subtracted on its
-    own, with the same bits, so the blocks, eigenvalues and distance are
-    those of the whole difference.  eigvalsh is deterministic for identical
-    input bits, which keeps regression values stable.
+    With equal sector labels on rho and sigma, _sector_eigvalsh solves each
+    sector's block of rho - sigma, with the bits of the whole difference,
+    and checks the off-sector part; otherwise the whole difference is one
+    sector.  eigvalsh is deterministic for identical input bits.
     """
     if rho.dim != sigma.dim:
         raise ValueError("trace distance requires equal dimensions")

@@ -10,18 +10,16 @@ a per-mode decision, so its cost never depends on the circuit.  The
 energy, size and per-mode overlaps of the number basis come from fock.
 
 run_protocol audits each exchange against the plaintext run of the same
-circuit.  Both runs go through one walk over the gates: each number-basis
-interferometer block is built once, from u on the shared grid, and
-applied to the ciphertext and to the plaintext before the next block is
-built.  A Transcript encodes each of its three wire messages once, on
-first use, and every later read gets the same bytes.
+circuit, in one walk over the gates that builds each number-basis
+interferometer block once for both.
 
 Wire formats are single-line JSON with a fixed field order and floats
 printed at 17 significant digits, so byte-identical transcripts are
-reproducible and diffable.  Each payload or matrix is formatted in one
-pass, a single %-format over all its floats, with the bytes that
-formatting float by float gives.  The parsers raise ValueError on
-malformed messages, non-finite or out-of-range numbers included, on
+reproducible and diffable; a "fock" payload holds the C(cutoff+m, m)
+amplitudes of total photon number at most its cutoff, in fock's order.
+Each payload or matrix is one %-format over all its floats, with the
+bytes that formatting float by float gives.  The parsers raise ValueError
+on malformed messages, non-finite or out-of-range numbers included, on
 booleans where any number belongs, and on non-integers where an integer
 belongs.
 """
@@ -255,10 +253,10 @@ def client_encrypt(x: BitString, alpha: complex, key: PhaseKey) -> CipherText:
 
 
 def _check_fock_size(n_max: int, m: int) -> None:
-    """CapacityError when the (n_max+1)^m grid has over FOCK_SIZE_CAP block entries."""
+    """CapacityError when the cutoff-n_max grid on m modes exceeds FOCK_SIZE_CAP block entries."""
     if block_entries(n_max, m, FOCK_SIZE_CAP) > FOCK_SIZE_CAP:
-        raise CapacityError(f"the number basis on {n_max + 1}^{m} occupations exceeds "
-                            f"the cap of {FOCK_SIZE_CAP} block entries")
+        raise CapacityError(f"the number basis of total photon number at most {n_max} on "
+                            f"{m} modes exceeds the cap of {FOCK_SIZE_CAP} block entries")
 
 
 def _evaluate(circuit: CircuitDescription, states: list, n_max: "int | None") -> list:
@@ -268,11 +266,10 @@ def _evaluate(circuit: CircuitDescription, states: list, n_max: "int | None") ->
     basis, a cutoff.  Interferometers act on coherent amplitudes directly;
     the first nonlinear gate expands every state into the number basis at
     one cutoff, n_max or else the one the first state's total energy gives.
-    Each number-basis interferometer block is built once and applied to
-    every state before the next block is built, so the result for each
-    state has the bits of a run on that state alone.  A number-basis grid
-    received or lifted to beyond FOCK_SIZE_CAP raises CapacityError before
-    anything is allocated for it.
+    _lift_interferometer builds each number-basis block once for all states,
+    with the bits of a run on each alone.  A number-basis grid received or
+    lifted to beyond FOCK_SIZE_CAP raises CapacityError before anything is
+    allocated for it.
     """
     m = states[0].modes
     if isinstance(states[0], FockVector):
@@ -301,13 +298,10 @@ def evaluator_apply(circuit: CircuitDescription, ct: CipherText,
                     n_max: "int | None" = None) -> CipherText:
     """Run the circuit on a ciphertext, never seeing the key.
 
-    Interferometers act on coherent amplitudes directly; the first
-    nonlinear gate expands the state into the number basis with a cutoff
-    from the ciphertext's total energy unless n_max is given.  A
-    number-basis state received or lifted to beyond FOCK_SIZE_CAP raises
-    CapacityError before anything is allocated for it.  It is the one-state
-    case of the walk run_protocol shares between the ciphertext and its
-    plaintext reference.
+    The one-state case of _evaluate, the walk run_protocol shares between
+    the ciphertext and its plaintext reference: the number-basis cutoff is
+    n_max or else the ciphertext's energy's, and a grid over FOCK_SIZE_CAP
+    raises CapacityError before anything is allocated for it.
     """
     return _evaluate(circuit, [ct], n_max)[0]
 

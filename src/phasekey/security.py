@@ -16,12 +16,8 @@ add them in index order (np.bincount, np.cumsum); that fixed order is what
 keeps the sweep CSVs byte-identical.  Past E ~ 708.4, where e^{-E} is no
 longer a normal double, the terms start at the first normal one, so the
 closed forms hold at every energy the cutoff cap admits.  The series, the
-class sums built from it and the encrypted distance are memoized per
-process (bounded caches, of read-only arrays for the series and the sums,
-keyed by energy and tail for the series and by the frozen SecurityParams
-for the sums and the distance), so a sweep row that asks for the distance,
-the ratio and the limit at one energy builds the series and the sums once
-and the distance once.
+class sums and the encrypted distance are memoized per process in bounded
+caches, so a sweep row builds each of them once.
 Every closed form has a brute-force companion (the dense channel average of
 encoding with fock.trace_distance_numeric; here, the support-basis oracle,
 tuple enumeration and the numeric pretty-good measurement) so the formulas
@@ -253,7 +249,7 @@ def encrypted_distance_oracle(u: BitString, v: BitString, alpha: float, d: int,
     psi|_t is psi restricted to total photon number t.  In sector t those
     codewords span at most psi_u|_t and psi_v|_t, so one Gram-Schmidt step
     per sector, over every grid amplitude and vectorized over t, gives an
-    orthonormal basis of at most 2(m n_max + 1) vectors and each sector's
+    orthonormal basis of at most 2(n_max + 1) vectors and each sector's
     2x2 triangle [[r11, r12], [0, r22]]; r22 is the norm of the residual
     psi_v|_t - (r12 / r11) psi_u|_t itself, not a difference of squared
     norms, which would cancel for (near-)parallel pairs.  The triangles
@@ -273,12 +269,13 @@ def encrypted_distance_oracle(u: BitString, v: BitString, alpha: float, d: int,
     b = codeword_fock(v, alpha, n_max).amps
     aa = np.bincount(t, (a.conj() * a).real, n_totals)
     a_b = a.conj() * b
-    ab = np.bincount(t, a_b.real, n_totals) + 1j * np.bincount(t, a_b.imag, n_totals)
-    # an empty sector (r11 = 0) gets r12 = 0, so r22 = ||psi_v|_t||, with no 0/0
-    coef = np.divide(ab, aa, out=np.zeros(n_totals, dtype=complex), where=aa > 0.0)
+    # ab's parts over the real aa (a complex division takes 1/aa, inf once aa is
+    # subnormal; |ab| <= sqrt(aa bb)); an empty sector (r11 = 0) gets r12 = 0
+    ab = np.column_stack([np.bincount(t, a_b.real, n_totals), np.bincount(t, a_b.imag, n_totals)])
+    coef = np.divide(ab, aa[:, None], out=np.zeros_like(ab), where=aa[:, None] > 0.0)
+    coef = coef.view(complex)[:, 0]
     resid = b - coef[t] * a
-    r11 = np.sqrt(aa)
-    r12 = coef * r11
+    r12 = coef * (r11 := np.sqrt(aa))
     r22 = np.sqrt(np.bincount(t, (resid.conj() * resid).real, n_totals))
     phase = np.exp(-2j * math.pi / d * np.outer(np.arange(n_totals), np.arange(d)))
     coords = np.block([[r11[:, None] * phase, r12[:, None] * phase],

@@ -17,6 +17,7 @@ from phasekey.evaluation import cat_state_target, haar_random_unitary, kerr_cat_
 from phasekey.fock import (
     coherent_fock,
     density_from_fock,
+    distance_cutoff,
     overlap,
     trace_distance_numeric,
     truncation_bound,
@@ -51,7 +52,7 @@ def test_criterion_1_closed_form_matches_density_matrix_oracles():
     worst = 0.0
     for m in (1, 2, 3):
         for alpha in (0.3, 0.7, 1.0, 1.5):
-            n_max = truncation_bound(m * alpha * alpha)
+            n_max = distance_cutoff(m * alpha * alpha, tol)
             for d in (2, 3, 5, 8):
                 for w in range(m + 1):
                     closed = encrypted_trace_distance(

@@ -10,6 +10,8 @@ import pytest
 
 from phasekey import cli
 from phasekey.checks import CheckResult
+from phasekey.evaluation import NonlinearPhaseSpec, haar_random_unitary
+from phasekey.protocol import CircuitDescription, circuit_to_json
 from phasekey.security import SecurityParams, encrypted_trace_distance, pgm_closed_form
 
 
@@ -168,18 +170,36 @@ class TestExitCodes:
         assert last["type"] == "cat_fidelity" and last["value"] >= 1 - 1e-8
 
     def test_three_mode_kerr_over_the_size_cap_is_three(self, tmp_path, capsys):
-        # |alpha|^2 = 3 per mode gives n_max 34, a 35^3 grid
+        # |alpha| = 1.9 per mode gives cutoff 38, whose blocks hold 5.11M > 2^22 entries
         circuit = tmp_path / "kerr3.json"
         circuit.write_text(
             '{"type":"circuit","gates":[{"kind":"nonlinear",'
             '"terms":[{"exps":[2,0,0],"g":1.0}],"t":0.5},'
             '{"kind":"interferometer","matrix":[[[0,0],[1,0],[0,0]],[[1,0],[0,0],[0,0]],'
             '[[0,0],[0,0],[1,0]]]}]}')
-        rc = run_cli(["protocol-demo", "--m", "3", "--alpha", str(math.sqrt(3)),
+        rc = run_cli(["protocol-demo", "--m", "3", "--alpha", "1.9",
                       "--circuit", str(circuit), "--out", str(tmp_path / "t.jsonl")])
         assert rc == 3
-        assert "capacity exceeded: the number basis on 35^3" in capsys.readouterr().err
+        assert ("capacity exceeded: the number basis of total photon number at most 38 on 3 "
+                "modes" in capsys.readouterr().err)
         assert not (tmp_path / "t.jsonl").exists()
+
+    def test_three_mode_haar_kerr_haar_under_the_cap_runs(self, tmp_path, capsys):
+        # |alpha| = 1.2 gives cutoff 23: 2600 states, 0.49M block entries, inside 2^22
+        circuit = CircuitDescription((haar_random_unitary(3, 1),
+                                      NonlinearPhaseSpec(terms={(1, 1, 0): 0.2}),
+                                      haar_random_unitary(3, 2)))
+        path = tmp_path / "hkh.json"
+        path.write_text(circuit_to_json(circuit))
+        out = tmp_path / "t.jsonl"
+        rc = run_cli(["protocol-demo", "--m", "3", "--alpha", "1.2", "--x", "101",
+                      "--circuit", str(path), "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        lines = {ln["type"]: ln for ln in map(json.loads, out.read_text().splitlines())}
+        assert lines["correctness"]["pass"] and lines["output"]["match"]
+        returned = json.loads(out.read_text().splitlines()[4])["body"]
+        assert returned["cutoff"] == 23 and len(returned["payload"]) == 2600
 
     def test_overflowing_alpha_in_protocol_demo_is_three(self, tmp_path, capsys):
         rc = run_cli(["protocol-demo", "--m", "1", "--alpha", "1e200", "--circuit", "kerr-cat",

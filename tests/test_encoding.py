@@ -177,8 +177,8 @@ class TestEncryptionChannel:
         with pytest.raises(CapacityError):
             encryption_channel_density(BitString((0, 0, 0)), 1.5, 4, 40)
 
-    # one mode or two: 4097 and 4225 states, each a matrix of about 270 MB
-    @pytest.mark.parametrize("m,n_max", [(1, 4096), (2, 64)])
+    # one mode or two: 4097 and C(92, 2) = 4186 states, each a matrix of about 270 MB
+    @pytest.mark.parametrize("m,n_max", [(1, 4096), (2, 90)])
     def test_memory_cap_counts_states(self, m, n_max):
         with pytest.raises(CapacityError, match="more than 4096 states"):
             encryption_channel_density(BitString((0,) * m), 0.5, 3, n_max)
@@ -219,7 +219,8 @@ class TestBlockDecomposition:
         n_max = truncation_bound(2 * 0.8 ** 2, 1e-12)
         blocks, _ = block_decomposition(0.8, 2, 5, n_max)
         for x in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            rebuilt = np.zeros(((n_max + 1) ** 2, (n_max + 1) ** 2), dtype=complex)
+            dim = len(blocks[0].gtilde.amps)
+            rebuilt = np.zeros((dim, dim), dtype=complex)
             for b in blocks:
                 g = apply_sign_flips(b, BitString(x)).amps
                 rebuilt += b.q_j * np.outer(g, g.conj())

@@ -126,8 +126,9 @@ class TestTruncationBound:
 
 class TestIndexing:
     def test_occupation_array_lexicographic(self):
-        rows = occupation_array(1, 2)
-        np.testing.assert_array_equal(rows, [[0, 0], [0, 1], [1, 0], [1, 1]])
+        # total first, then lexicographic with the first mode most significant
+        rows = occupation_array(2, 2)
+        np.testing.assert_array_equal(rows, [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]])
 
     def test_totals_match_tuples(self):
         occ = occupation_array(3, 2)
@@ -142,7 +143,9 @@ class TestIndexing:
         a, b = 0.7, -0.4 + 0.2j
         joint = coherent_fock([a, b], 6)
         manual = np.kron(coherent_coefficients(a, 6), coherent_coefficients(b, 6))
-        np.testing.assert_allclose(joint.amps, manual, atol=1e-15)
+        # np.kron's entry for (z_1, z_2) sits at 7 z_1 + z_2; every one kept has its bits
+        occ = occupation_array(6, 2)
+        np.testing.assert_array_equal(joint.amps, manual[7 * occ[:, 0] + occ[:, 1]])
 
 
 class TestFockVector:

@@ -15,6 +15,9 @@ that range:
   U(1)-averaged states:
   1 - F <= limit <= enc(kd) <= enc(d) <= unenc, limit <= sqrt(1 - F^2),
   and enc(d = 1) = unenc.
+
+The support-basis oracle is a third, at m <= 2, where its grid stays small:
+it needs no series at all, only the codewords' number-basis amplitudes.
 """
 
 import dataclasses
@@ -25,9 +28,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasekey.encoding import EMPTY_BLOCK_FLOOR
+from phasekey.encoding import EMPTY_BLOCK_FLOOR, BitString
+from phasekey.fock import distance_cutoff
 from phasekey.security import (
     SecurityParams,
+    encrypted_distance_oracle,
     encrypted_trace_distance,
     encrypted_trace_distance_limit,
     unencrypted_trace_distance,
@@ -105,3 +110,23 @@ def test_distances_stay_in_their_envelope(case):
     assert all(a <= b + ENVELOPE_TOL for a, b in zip(chain, chain[1:])), chain
     assert limit <= upper + ENVELOPE_TOL
     assert enc_1 == pytest.approx(unenc, abs=ENVELOPE_TOL)
+
+
+# (m, E, d, w): w = 1 at m = 1 and 2, odd-d complements, and even-d
+# complements, whose closed form is exactly 0
+SUPPORT_PAST_UNDERFLOW = [(1, 720.0, 3, 1), (2, 760.0, 5, 1), (1, 900.0, 7, 1),
+                          (2, 760.0, 5, 2), (1, 720.0, 4, 1), (2, 760.0, 4, 2)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m,E,d,w", SUPPORT_PAST_UNDERFLOW)
+def test_support_oracle_past_the_underflow_matches_the_closed_form(m, E, d, w):
+    # the weight of the vacuum sector, |b_0|^2, is subnormal here (2e-313 at
+    # m = 1, E = 720): a complex division by it overflowed to inf+nanj
+    alpha = math.sqrt(E / m)
+    closed = encrypted_trace_distance(SecurityParams(m=m, d=d, abs_alpha=alpha, w=w))
+    oracle = encrypted_distance_oracle(BitString((0,) * m), BitString((1,) * w + (0,) * (m - w)),
+                                       alpha, d, distance_cutoff(E, 1e-6))
+    if w == m and d % 2 == 0:
+        assert closed == 0.0
+    assert abs(oracle - closed) <= 1e-10

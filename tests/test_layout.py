@@ -4,10 +4,13 @@ Covers the cached occupation index, the capped grid size, the sector
 tables of the interferometer recursion, the rejection of impossible grids
 and non-finite amplitudes, the per-mode contraction, block-entry count and
 overflow-safe energy that fock owns, and the callers that now read fock
-instead of doing their own grid arithmetic.
+instead of doing their own grid arithmetic.  The references are brute
+force: every tuple of itertools.product, kept where its total is at most
+the cutoff and sorted by total, then lexicographically.
 """
 
 import inspect
+import itertools
 import math
 import time
 import warnings
@@ -43,14 +46,16 @@ from phasekey.security import SecurityParams, encrypted_distance_oracle, qk_ak_e
 
 
 def ref_occupations(n_max, modes):
-    """The grid as np.indices lays it out, first mode most significant."""
-    return np.indices((n_max + 1,) * modes).reshape(modes, (n_max + 1) ** modes).T
+    """The grid by brute force: tuples of total <= n_max, by total, then lexicographically."""
+    kept = [z for z in itertools.product(range(n_max + 1), repeat=modes) if sum(z) <= n_max]
+    return np.array(sorted(kept, key=lambda z: (sum(z), z)), dtype=np.int64).reshape(-1, modes)
 
 
 class TestGridIndex:
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
     def test_matches_np_indices_and_is_read_only(self, n_max, modes):
+        # the brute-force grid, which np.indices gave before the cut on the total
         occ = occupation_array(n_max, modes)
         totals = total_photon_numbers(n_max, modes)
         ref = ref_occupations(n_max, modes)
@@ -79,12 +84,16 @@ class TestGridSize:
     @pytest.mark.parametrize("modes", [1, 3, 7])
     @pytest.mark.parametrize("cap", [0, 8, 10 ** 6])
     def test_is_the_capped_power(self, n_max, modes, cap):
-        assert grid_size(n_max, modes, cap) == min((n_max + 1) ** modes, cap + 1)
+        # the capped binomial C(n_max+modes, modes), the power (n_max+1)^modes before
+        assert grid_size(n_max, modes, cap) == min(math.comb(n_max + modes, modes), cap + 1)
+        assert grid_size(n_max, modes, cap) == min(len(ref_occupations(n_max, modes)), cap + 1)
 
     def test_huge_mode_count_is_fast(self):
         start = time.perf_counter()
         assert grid_size(2, 10 ** 7, 2 ** 22) == 2 ** 22 + 1
         assert grid_size(0, 10 ** 7, 5) == 1
+        assert grid_size(10 ** 18, 10 ** 18, 2 ** 22) == 2 ** 22 + 1
+        assert grid_size(10 ** 18, 1, 2 ** 63) == 10 ** 18 + 1
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n_max, modes", [(-1, 2), (2, 0)])
@@ -97,8 +106,11 @@ class TestFockVectorShape:
     def test_huge_mode_count_fails_fast(self):
         # 3^(10^7) alone takes seconds to form; the length check never forms it
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"\(cutoff\+1\)\^m"):
+        with pytest.raises(ValueError, match=r"C\(cutoff\+m, m\) = C\(10000002, 10000000\) = "
+                                             r"50000015000001, one per"):
             FockVector(cutoff=2, modes=10 ** 7, amps=[1])
+        with pytest.raises(ValueError, match=r"1 amplitudes .* = over 2\^63, one per"):
+            FockVector(cutoff=10 ** 18, modes=10 ** 18, amps=[1])
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("cutoff, modes", [(-2, 2), (-1, 1), (1, 0), (1, -1)])
@@ -106,9 +118,10 @@ class TestFockVectorShape:
         with pytest.raises(ValueError, match="a grid needs"):
             FockVector(cutoff=cutoff, modes=modes, amps=[1])
 
-    @pytest.mark.parametrize("amps", [np.ones(3), np.ones(5), np.ones((2, 2)), 1.0])
+    # C(3, 2) = 3 states; 4 is the (cutoff+1)^m of the grid before the cut on the total
+    @pytest.mark.parametrize("amps", [np.ones(4), np.ones(5), np.ones((2, 2)), 1.0])
     def test_wrong_length_is_rejected(self, amps):
-        with pytest.raises(ValueError, match=r"\(cutoff\+1\)\^m"):
+        with pytest.raises(ValueError, match=r"C\(cutoff\+m, m\) = C\(3, 2\) = 3, one per"):
             FockVector(cutoff=1, modes=2, amps=amps)
 
 
@@ -116,20 +129,40 @@ class TestSectorTables:
     @pytest.mark.parametrize("n_max, modes", [(0, 1), (3, 1), (2, 2), (3, 3), (1, 4)])
     def test_blocks_and_down_indices(self, n_max, modes):
         tables = sector_tables(n_max, modes)
-        order, starts, roots, down, peel = tables
+        starts, roots, down, peel = tables
         occ = ref_occupations(n_max, modes)
         totals = occ.sum(axis=1)
+        np.testing.assert_array_equal(np.diff(starts), np.bincount(totals))
         np.testing.assert_array_equal(np.diff(starts), fock.sector_sizes(n_max, modes))
+        index = {tuple(z): i for i, z in enumerate(occ)}
         for n in range(len(starts) - 1):
-            block = order[starts[n]:starts[n + 1]]
-            np.testing.assert_array_equal(block, np.flatnonzero(totals == n))
-            for i, z in enumerate(occ[block], start=starts[n]):
+            np.testing.assert_array_equal(np.arange(starts[n], starts[n + 1]),
+                                          np.flatnonzero(totals == n))
+            for i in range(starts[n], starts[n + 1]):
+                z = occ[i]
                 np.testing.assert_array_equal(roots[i], np.sqrt(z))
                 assert peel[i] == int(np.argmax(z))
-                for j in np.flatnonzero(z):
-                    below = order[starts[n - 1] + down[i, j]]
-                    np.testing.assert_array_equal(occ[below], z - np.eye(modes, dtype=int)[j])
+                for j in range(modes):
+                    below = tuple(z - np.eye(modes, dtype=int)[j])
+                    assert down[i, j] == (index[below] - starts[n - 1] if z[j] else 0)
         assert not any(arr.flags.writeable for arr in tables)
+
+    def test_forty_modes_lift_past_int64_place_values(self):
+        # 3^40 > 2^63, so no flat index of the (n_max+1)^m product grid fits an int64
+        assert 3 ** 40 > 2 ** 63
+        starts, _, down, _ = sector_tables(2, 40)
+        occ = occupation_array(2, 40)
+        assert len(occ) == math.comb(42, 2) and down.max() < math.comb(41, 2)
+        for i in (1, 40, 41, 500, len(occ) - 1):
+            z = occ[i]
+            for j in np.flatnonzero(z):
+                below = occ[starts[z.sum() - 1] + down[i, j]]
+                np.testing.assert_array_equal(below, z - np.eye(40, dtype=np.int64)[j])
+        # the lift keeps each total, so the truncated coherent state maps to the truncated image
+        amps = 0.01 * np.exp(0.3j * np.arange(40))
+        u = haar_random_unitary(40, 4)
+        got = interferometer_fock(u, coherent_fock(amps, 2))
+        np.testing.assert_allclose(got.amps, coherent_fock(u.u @ amps, 2).amps, rtol=0, atol=1e-14)
 
     def test_light_oracles_never_build_them(self):
         # the support oracle and the enumeration read only occupations and totals
@@ -257,8 +290,13 @@ class TestRunProtocolDecryptsOnce:
 
 
 def ref_mode_overlap_norms(psi, single):
-    """The per-mode reshape and tensordot the protocol decoder did before fock owned it."""
-    tensor = psi.amps.reshape((psi.cutoff + 1,) * psi.modes)
+    """The per-mode reshape and tensordot the protocol decoder did before fock owned it.
+
+    psi is placed in the (cutoff+1)^m product tensor, zero past the cutoff
+    on the total; at one mode that is its amplitude vector itself.
+    """
+    tensor = np.zeros((psi.cutoff + 1,) * psi.modes, dtype=complex)
+    tensor[tuple(ref_occupations(psi.cutoff, psi.modes).T)] = psi.amps
     return [np.linalg.norm(np.tensordot(single.conj(), tensor, axes=([0], [mode])))
             for mode in range(psi.modes)]
 
@@ -268,13 +306,17 @@ class TestModeOverlapNorms:
     @pytest.mark.parametrize("cutoff", range(7))
     def test_equals_the_decoder_reshape(self, cutoff, modes):
         rng = np.random.default_rng(100 * modes + cutoff)
-        dim = (cutoff + 1) ** modes
+        dim = math.comb(cutoff + modes, modes)
         psi = FockVector(cutoff=cutoff, modes=modes,
                          amps=rng.normal(size=dim) + 1j * rng.normal(size=dim))
         single = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
         got = mode_overlap_norms(psi, single)
         assert got.shape == (modes,)
-        assert list(got) == ref_mode_overlap_norms(psi, single)
+        if modes == 1:  # the decoder's bits, which the single-mode transcripts pin
+            assert list(got) == ref_mode_overlap_norms(psi, single)
+        else:
+            np.testing.assert_allclose(got, ref_mode_overlap_norms(psi, single),
+                                       rtol=1e-13, atol=0)
 
     def test_balanced_kerr_cat_ties_and_decodes_to_zero(self):
         alpha = 1.5
@@ -285,18 +327,59 @@ class TestModeOverlapNorms:
         assert protocol._decode(cat, alpha) == BitString((0,))
 
 
+class TestSingleModeKeepsItsBytes:
+    """At one mode the cut on the total changes nothing: grid, order, amplitudes and transcripts."""
+
+    @pytest.mark.parametrize("n_max", [0, 5, 40])
+    def test_grid_and_coherent_state(self, n_max):
+        np.testing.assert_array_equal(occupation_array(n_max, 1), np.arange(n_max + 1)[:, None])
+        b = coherent_coefficients(0.8 - 0.3j, n_max)
+        got = coherent_fock([0.8 - 0.3j], n_max).amps
+        assert got.tobytes() == np.kron(np.array([1.0 + 0.0j]), b).tobytes()
+
+    # the second one ties the decoder's scores, so rounding picks its bit
+    @pytest.mark.parametrize("argv", [["--alpha", "1.5", "--x", "0"], ["--seed", "3"]],
+                             ids=["alpha-1.5", "seed-3"])
+    def test_kerr_cat_transcript(self, argv, monkeypatch, tmp_path, capsys):
+        def transcript():
+            out = tmp_path / "t.jsonl"
+            assert cli.main(["protocol-demo", "--m", "1", "--circuit", "kerr-cat", *argv,
+                             "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        def kron_fock(amps, n_max):
+            vec = np.array([1.0 + 0.0j])
+            for a in amps:
+                vec = np.kron(vec, coherent_coefficients(a, n_max))
+            return FockVector(cutoff=n_max, modes=len(amps), amps=vec)
+
+        now = transcript()
+        # the product-grid state and decoder, as they were before the cut on the total
+        monkeypatch.setattr(protocol, "coherent_fock", kron_fock)
+        monkeypatch.setattr(protocol, "mode_overlap_norms",
+                            lambda psi, single: np.array(ref_mode_overlap_norms(psi, single)))
+        assert now == transcript()
+        capsys.readouterr()
+
+
 class TestBlockEntries:
     @pytest.mark.parametrize("n_max", [0, 1, 2, 5])
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
     @pytest.mark.parametrize("cap", [0, 8, 100, 10 ** 6])
     def test_is_the_capped_sum_of_squared_sector_sizes(self, n_max, modes, cap):
-        want = min(int(np.sum(sector_sizes(n_max, modes) ** 2)), cap + 1)
+        want = min(int(np.sum(np.bincount(ref_occupations(n_max, modes).sum(axis=1)) ** 2)),
+                   cap + 1)
         assert block_entries(n_max, modes, cap) == want
+        assert np.array_equal(sector_sizes(n_max, modes),
+                              [math.comb(n + modes - 1, modes - 1) for n in range(n_max + 1)])
 
     def test_huge_mode_count_is_fast(self):
         start = time.perf_counter()
         assert block_entries(1, 10 ** 7, 2 ** 22) == 2 ** 22 + 1
         assert block_entries(0, 10 ** 7, 5) == 1
+        # a huge cutoff too, at one mode and at many
+        assert block_entries(10 ** 18, 1, 2 ** 22) == 2 ** 22 + 1
+        assert block_entries(10 ** 18, 10 ** 18, 2 ** 22) == 2 ** 22 + 1
         assert time.perf_counter() - start < 1.0
 
 

@@ -99,9 +99,9 @@ def test_channel_entries_equal_per_amplitude_exponentials(m, alpha, d, w):
 
 
 # the Hermitian check runs over tiles of fock._TILE = 128 states: grids of
-# 127, 128 and 129 states (one mode, and 2^7 for seven), 169 with one key
-# and with more keys than totals, and the oracle benchmark's 729-state
-# shape, whose last tile is partial
+# 127, 128 and 129 states (one mode) and 8 (seven modes at cutoff 1), 91
+# with one key and with more keys than totals, and the oracle benchmark's
+# 165-state shape, whose last tile is partial
 TILE_GRID = [(1, 126, 3.0, 3, 1), (1, 127, 3.0, 3, 1), (1, 128, 3.0, 3, 1),
              (7, 1, 0.3, 3, 2), (2, 12, 0.7, 1, 1), (2, 12, 0.7, 30, 2), (3, 8, 0.21, 3, 1)]
 
@@ -132,15 +132,17 @@ def _peak_bytes(fn, *args):
 
 
 def test_dense_oracle_makes_no_full_size_temporary():
-    # the oracle benchmark's three-mode shape: 729 states, 8.5 MB per matrix.
-    # The one product holds the matrix and the d rotated codewords; a full-size
-    # scaled copy or Hermitization would add a matrix, and forming rho - sigma
-    # first adds about 1.67 matrices to the distance.
+    # three modes at cutoff 14: 680 states, 7.4 MB per matrix, so the 128 x 128
+    # tiles of the Hermitian check are small beside it (at the oracle benchmark's
+    # cutoff 8, 165 states, a tile is 0.6 of the matrix).  The one product holds
+    # the matrix and the d rotated codewords; a full-size scaled copy or
+    # Hermitization would add a matrix, and forming rho - sigma first adds about
+    # 1.67 matrices to the distance.
     u, v = _pair(3, 1)
-    rho = encryption_channel_density(u, 0.21, 3, 8)
-    sigma = encryption_channel_density(v, 0.21, 3, 8)
+    rho = encryption_channel_density(u, 0.21, 3, 14)
+    sigma = encryption_channel_density(v, 0.21, 3, 14)
     matrix = rho.entries.nbytes
-    assert _peak_bytes(encryption_channel_density, u, 0.21, 3, 8) <= 1.25 * matrix
+    assert _peak_bytes(encryption_channel_density, u, 0.21, 3, 14) <= 1.25 * matrix
     assert _peak_bytes(trace_distance_numeric, rho, sigma) <= 1.25 * matrix
 
 
@@ -160,7 +162,7 @@ SUPPORT_CASES += [pytest.param(m, alpha, d, w, truncation_bound(m * alpha ** 2),
 SUPPORT_CASES += [pytest.param(3, alpha, d, w, truncation_bound(3 * alpha ** 2, 1e-12),
                                id=f"bench-{alpha}-{d}-{w}")
                   for d, alpha in ((6, 0.61), (10, 0.8), (16, 1.0)) for w in range(1, 4)]
-# more keys than totals: 40 keys, 3 n_max + 1 = 16 totals
+# more keys than totals: 40 keys, n_max + 1 = 11 totals
 SUPPORT_CASES += [pytest.param(3, 0.4, 40, w, truncation_bound(0.48), id=f"d40-{w}")
                   for w in (1, 3)]
 # alpha = 0: every sector above t = 0 is empty

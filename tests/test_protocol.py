@@ -145,18 +145,19 @@ class TestEvaluatorApply:
         assert abs(overlap(out, target)) >= 1 - 1e-10
 
     def test_nonlinear_mode_cap(self):
-        ct = client_encrypt(BitString((0, 1, 0, 1)), 0.5, PhaseKey(k=0, d=2))
+        # |alpha| = 0.8 on four modes gives cutoff 18, whose blocks hold 5.97M entries
+        ct = client_encrypt(BitString((0, 1, 0, 1)), 0.8, PhaseKey(k=0, d=2))
         spec = NonlinearPhaseSpec(terms={(2, 0, 0, 0): 1.0}, t=1.0)
         with pytest.raises(CapacityError):
             evaluator_apply(CircuitDescription(gates=(spec,)), ct)
-        # n_max 1 gives only 2^13 amplitudes, but a 1716 x 1716 block at total 7
-        ct = client_encrypt(BitString((0,) * 13), 5e-4, PhaseKey(k=0, d=2))
-        spec = NonlinearPhaseSpec(terms={(2,) + (0,) * 12: 1.0}, t=1.0)
-        with pytest.raises(CapacityError, match="on 2\\^13 occupations"):
+        # cutoff 2 gives only C(66, 2) = 2145 amplitudes, but a 2080 x 2080 block at total 2
+        ct = client_encrypt(BitString((0,) * 64), 2e-3, PhaseKey(k=0, d=2))
+        spec = NonlinearPhaseSpec(terms={(2,) + (0,) * 63: 1.0}, t=1.0)
+        with pytest.raises(CapacityError, match="total photon number at most 2 on 64 modes"):
             evaluator_apply(CircuitDescription(gates=(spec,)), ct)
 
     def test_received_number_basis_state_over_the_cap(self):
-        psi = FockVector(cutoff=1, modes=13, amps=np.eye(1, 2 ** 13)[0])
+        psi = FockVector(cutoff=2, modes=64, amps=np.eye(1, math.comb(66, 2))[0])
         assert isinstance(psi, CipherText)
         with pytest.raises(CapacityError, match="block entries"):
             evaluator_apply(CircuitDescription(gates=()), psi)
@@ -239,12 +240,12 @@ class TestRunProtocol:
         assert tr.correct
 
     def test_four_mode_number_basis_exchange(self):
-        # n_max 8: 9^4 = 6561 amplitudes, 2306025 block entries, under the cap
+        # cutoff 8: C(12, 4) = 495 amplitudes, 53559 block entries, under the cap
         cross_kerr = NonlinearPhaseSpec(terms={(1, 1, 0, 0): 0.2})
         circuit = CircuitDescription(gates=(haar_random_unitary(4, 3), cross_kerr,
                                             haar_random_unitary(4, 4)))
         tr = run_protocol(BitString((1, 0, 0, 1)), 0.25, 100, circuit, seed=4)
-        assert tr.returned.amps.size == 9 ** 4
+        assert tr.returned.amps.size == math.comb(12, 4)
         assert tr.correctness["metric"] == "overlap"
         assert tr.correct
         assert tr.y is not None and tr.y == tr.y_reference

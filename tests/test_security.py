@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from phasekey.encoding import BitString, encryption_channel_density
-from phasekey.fock import CapacityError, poisson_terms, trace_distance_numeric, truncation_bound
+from phasekey.fock import (CapacityError, distance_cutoff, poisson_terms, trace_distance_numeric,
+                           truncation_bound)
 from phasekey.security import (
     SERIES_TAIL_EPS,
     PgmResult,
@@ -203,7 +204,7 @@ class TestEncryptedDistance:
     def test_matches_dense_channel_oracle_two_modes(self, d, w):
         alpha = 1.0
         p = params(2, d, alpha, w)
-        n_max = truncation_bound(p.E)
+        n_max = distance_cutoff(p.E, 1e-6)
         rho_u = encryption_channel_density(BitString((0, 0)), alpha, d, n_max)
         rho_v = encryption_channel_density(BitString(tuple([1] * w + [0] * (2 - w))),
                                            alpha, d, n_max)
@@ -230,7 +231,7 @@ class TestDistanceOracle:
 
     def test_three_mode_point_matches_closed_form(self):
         p = params(3, 5, 1.0, 1)
-        n_max = truncation_bound(p.E)
+        n_max = distance_cutoff(p.E, 1e-6)
         got = encrypted_distance_oracle(BitString((0, 0, 0)), BitString((1, 0, 0)),
                                         1.0, 5, n_max)
         assert got == pytest.approx(encrypted_trace_distance(p), abs=1e-6)

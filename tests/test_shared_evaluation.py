@@ -146,11 +146,12 @@ class TestCapacity:
             raise AssertionError("the number basis was allocated")
 
         monkeypatch.setattr(protocol, "coherent_fock", no_lift)
+        # |alpha| = 0.8 on four modes gives cutoff 18, whose blocks hold 5.97M entries
         circuit = CircuitDescription(gates=(NonlinearPhaseSpec(terms={(2, 0, 0, 0): 1.0}),))
         with pytest.raises(CapacityError, match="block entries"):
-            run_protocol(BitString((0, 1, 0, 1)), 0.5, 2, circuit, seed=0)
+            run_protocol(BitString((0, 1, 0, 1)), 0.8, 2, circuit, seed=0)
         with pytest.raises(CapacityError, match="block entries"):
-            evaluator_apply(circuit, client_encrypt(BitString((0, 1, 0, 1)), 0.5, keygen(2, 0)))
+            evaluator_apply(circuit, client_encrypt(BitString((0, 1, 0, 1)), 0.8, keygen(2, 0)))
 
 
 def _haar_kerr_transcript():

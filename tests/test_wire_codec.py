@@ -172,11 +172,30 @@ class TestParserRejects:
             ciphertext_from_json(_ciphertext([[1, 0], [0, 0]], repr_tag="fock", cutoff=cutoff))
 
     def test_huge_mode_count_fails_fast(self):
-        # 3^(10^7) alone takes seconds; the length check must not compute it
+        # C(10^7 + 2, 2) is quick, but a huge binomial would not be; the length
+        # check takes at most a few dozen products of a capped running binomial
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"\(cutoff\+1\)\^m"):
+        with pytest.raises(ValueError, match=r"C\(cutoff\+m, m\) = C\(10000002, 10000000\)"):
             ciphertext_from_json(_ciphertext([[1, 0]], m=10 ** 7, repr_tag="fock", cutoff=2))
         assert time.perf_counter() - start < 1.0
+
+    def test_huge_mode_count_and_cutoff_fail_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"1 amplitudes .* = over 2\^63, one per"):
+            ciphertext_from_json(_ciphertext([[1, 0]], m=10 ** 30, repr_tag="fock",
+                                             cutoff=10 ** 30))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("cutoff, m", [(1, 2), (3, 2), (2, 3), (10, 3)])
+    def test_product_grid_payload_names_both_counts(self, cutoff, m):
+        # a (cutoff+1)^m payload, the multi-mode layout before the cut on the
+        # total, is always longer than C(cutoff+m, m) and never misread
+        old, new = (cutoff + 1) ** m, math.comb(cutoff + m, m)
+        assert old > new
+        with pytest.raises(ValueError, match=rf"^{old} amplitudes in shape \({old},\), expected "
+                                             rf"a vector of C\(cutoff\+m, m\) = "
+                                             rf"C\({cutoff + m}, {m}\) = {new},"):
+            ciphertext_from_json(_ciphertext([[1, 0]] * old, m=m, repr_tag="fock", cutoff=cutoff))
 
     @pytest.mark.parametrize("pair", [[True, False], [False, True], [0.0, False]])
     def test_boolean_payload_entry(self, pair):

@@ -1,6 +1,7 @@
 """Property tests of the wire parsers and encoders (hypothesis)."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ def ciphertexts(draw):
         return AmplitudeVector(np.array(amps))
     m = draw(st.integers(1, 2))
     cutoff = draw(st.integers(0, 4))
-    n = (cutoff + 1) ** m
+    n = math.comb(cutoff + m, m)
     amps = draw(st.lists(complexes, min_size=n, max_size=n))
     return FockVector(cutoff=cutoff, modes=m, amps=np.array(amps))
 
