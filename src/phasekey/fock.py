@@ -98,12 +98,13 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
     """Poisson(E) probabilities e^{-E} E^t / t! for t = 0..n, n the cutoff.
 
     n is the smallest count whose tail mass beyond n is below eps.  The
-    terms follow p_t = p_{t-1} E / t from the first normal one, until the
-    first t > E whose term is below eps * 1e-6: up to E ~ 708.4 a scalar
-    loop from e^{-E}, whose bits the goldens pin, and past it one
-    np.cumprod (same cutoff, terms within 1e-12 relative) whose terms below
-    the start are 0 and whose kept ones are divided by their sum, which
-    rounding in the log-form start would lift above 1.  Raises
+    terms follow p_t = p_{t-1} E / t from the first normal one, over one
+    window that a Poisson tail bound sizes from E and eps, and are cut at
+    the first t > E whose term is below eps * 1e-6: up to E ~ 708.4 the
+    scalar steps x E / t from e^{-E}, whose bits the goldens pin, and past
+    it one np.cumprod (same cutoff, terms within 1e-12 relative) whose
+    terms below the start are 0 and whose kept ones are divided by their
+    sum, which rounding in the log-form start would lift above 1.  Raises
     CapacityError when n would exceed hard_cap.
 
     Each series is computed once per process: the result is memoized, for
@@ -120,37 +121,29 @@ def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     if not E >= 0.0:  # NaN too
         raise ValueError(f"total energy must be nonnegative, got {E!r}")
     limit = 2 * hard_cap + 64
-    if not E <= limit:  # inf too: the loop below would pass the limit before the mode
+    if not E <= limit:  # inf too: the mode, and so any cut, lies past the limit
         raise CapacityError(_TOO_LONG.format(eps, E, hard_cap))
-    # Collect probability terms until they are far below eps and past the
-    # distribution mode, then form tails by summing small terms first so
-    # the tail values carry no cancellation error.
+    # One window: by Bennett's inequality in Bernstein form, P(total >= E + y) <=
+    # exp(-y^2 / (2 (E + y/3))), so every term past E + L/3 + sqrt(L^2/9 + 2LE) is
+    # below e^{-L} = eps * 1e-6.  Both forms run left to right: the terms up to the
+    # cut have the bits of a loop that stops there.
+    L = -math.log(eps) - math.log(1e-6)  # finite where eps * 1e-6 underflows
+    end = min(math.floor(E + L / 3 + math.sqrt(L * L / 9 + 2 * L * E)) + 1, limit + 1)
     start, x = _poisson_start(E)
     if start:
-        # one cumulative product, cut where the loop below would stop: the
-        # first t > E whose term is below eps * 1e-6.  The product runs in
-        # order, so a window sized from E holds the first terms of the full
-        # one, bit for bit; the full window is taken only when it misses
-        for end in (min(math.ceil(E + 12.0 * math.sqrt(E)) + 64, limit + 1), limit + 1):
-            t = np.arange(start + 1, end + 1)
-            terms = np.cumprod(np.concatenate(([x], E / t)))
-            stops = np.flatnonzero((terms[1:] < eps * 1e-6) & (t > E))
-            if len(stops):
-                break
-        t = int(t[stops[0]]) if len(stops) else limit + 1
-        terms = terms[:t - start + 1]
-    else:
-        # the goldens pin these bits: x E / t, left to right, from e^{-E};
-        # every step up to t = floor(E) + 1 is taken, so only the tail
-        # tests the stop rule
-        t = math.floor(E) + 1
-        terms = [x] + [x := x * E / s for s in range(1, t + 1)]
-        while x >= eps * 1e-6 and t <= limit:
-            t += 1
-            x = x * E / t
-            terms.append(x)
-        terms = np.asarray(terms)
-    # tails[j] = P(total >= start + j); the mass beyond start + j is tails[j + 1]
+        terms = np.cumprod(np.concatenate(([x], E / np.arange(start + 1, end + 1))))
+    else:  # the goldens pin these bits: x E / s, left to right, from e^{-E}
+        terms = [x] + [x := x * E / s for s in range(1, end + 1)]
+    # One cut, the first t > E whose term is below eps * 1e-6.  Past floor(E) + 1
+    # each step multiplies by E / t < 1 (fl(x E) < x t; fl(E / t) <= 1) and rounding
+    # is monotone, so the tail does not rise and a bisection finds the cut; with
+    # none in the window, t = limit + 1 is refused below.  The key is the float
+    # method, p < eps * 1e-6 with no numpy scalar comparison.
+    i = bisect.bisect_left(terms, True, math.floor(E) + 1 - start, key=(eps * 1e-6).__gt__)
+    t = start + i if i < len(terms) else limit + 1
+    # tails[j] = P(total >= start + j), summed small terms first so they carry no
+    # cancellation error; the mass beyond start + j is tails[j + 1]
+    terms = np.asarray(terms[:t - start + 1])
     tails = np.cumsum(terms[::-1])[::-1]
     below = np.flatnonzero(tails[1:] < eps)
     if t > limit or len(below) == 0 or start + below[0] > hard_cap:

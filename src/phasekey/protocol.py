@@ -53,8 +53,9 @@ from .evaluation import (
 from .fock import (CapacityError, FockVector, block_entries, coherent_coefficients, coherent_fock,
                    mean_photon_number, mode_overlap_norms, truncation_bound)
 
-# Largest number-basis grid the evaluator lifts to or accepts, in entries of
-# its fixed-total blocks (fock.block_entries), which set the interferometer lift's work.
+# Largest number-basis grid the evaluator lifts to or accepts: max(m, 3) times its
+# fixed-total block entries (fock.block_entries) stay within 3 * FOCK_SIZE_CAP, since
+# a lift costs about m times those entries and the decoder's tables O(G m^2).
 FOCK_SIZE_CAP = 2 ** 22
 
 # Fock-level decode declares a mode undecodable when it overlaps neither
@@ -253,10 +254,11 @@ def client_encrypt(x: BitString, alpha: complex, key: PhaseKey) -> CipherText:
 
 
 def _check_fock_size(n_max: int, m: int) -> None:
-    """CapacityError when the cutoff-n_max grid on m modes exceeds FOCK_SIZE_CAP block entries."""
-    if block_entries(n_max, m, FOCK_SIZE_CAP) > FOCK_SIZE_CAP:
+    """CapacityError when max(m, 3) times the grid's block entries exceed 3 * FOCK_SIZE_CAP."""
+    cap = 3 * FOCK_SIZE_CAP // max(m, 3)
+    if block_entries(n_max, m, cap) > cap:
         raise CapacityError(f"the number basis of total photon number at most {n_max} on "
-                            f"{m} modes exceeds the cap of {FOCK_SIZE_CAP} block entries")
+                            f"{m} modes exceeds the cap of {cap} block entries")
 
 
 def _evaluate(circuit: CircuitDescription, states: list, n_max: "int | None") -> list:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from phasekey import cli
-from phasekey.checks import CheckResult
+from phasekey.checks import FAST_CHECKS, FULL_ONLY_CHECKS, CheckResult, run_checks
 from phasekey.evaluation import NonlinearPhaseSpec, haar_random_unitary
 from phasekey.protocol import CircuitDescription, circuit_to_json
 from phasekey.security import SecurityParams, encrypted_trace_distance, pgm_closed_form
@@ -239,6 +239,27 @@ class TestExitCodes:
         assert "--alpha-step gives more than" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["security-sweep", "--quantity", "ratio", "--w", "1,,2"],
+         "argument --w: empty entry in '1,,2'"),
+        (["protocol-demo", "--alpha", "abc"], "argument --alpha: not a number: 'abc'"),
+        (["mutinfo", "--m", "2", "--energy-rule", "m^x"], "bad exponent in --energy-rule 'm^x'"),
+        (["protocol-demo", "--m", "1", "--circuit", "swap"],
+         "the swap circuit needs at least two modes"),
+    ], ids=["empty-list-entry", "non-numeric-float", "bad-rule-exponent", "swap-one-mode"])
+    def test_bad_flag_value_is_usage(self, args, message, tmp_path, capsys):
+        rc = run_cli(args + ["--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_circuit_is_usage(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        rc = run_cli(["protocol-demo", "--circuit", str(missing), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"unknown circuit {str(missing)!r} and no such file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_check_is_two(self, monkeypatch, capsys):
         monkeypatch.setattr(
             cli, "run_checks",
@@ -403,6 +424,22 @@ class TestOracleCheck:
         for line in out[:-1]:
             assert "max deviation" in line and "tolerance" in line
 
+    def test_full_level_passes_every_check_in_order(self, capsys):
+        names = ["coherent-overlap-identity", "unencrypted-distance-closed-vs-numeric",
+                 "residue-class-sums-vs-enumeration", "encrypted-distance-vs-dense-oracle",
+                 "block-reconstruction-vs-channel-average", "rank2-eigenvalue-lemma-vs-dense",
+                 "complement-indistinguishability-closed-form",
+                 "encrypted-distance-vs-support-oracle-m3",
+                 "complement-indistinguishability-numeric", "pgm-closed-form-vs-numeric"]
+        assert len(FAST_CHECKS + FULL_ONLY_CHECKS) == len(names)
+        results = run_checks("full")
+        assert [r.name for r in results] == names
+        assert all(r.passed for r in results)
+        assert run_cli(["oracle-check", "--level", "full"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out[:-1]] == [f"PASS {name}" for name in names]
+        assert out[-1] == "10/10 checks passed at level full"
+
     def test_output_is_deterministic(self, capsys):
         run_cli(["oracle-check", "--level", "fast"])
         first = capsys.readouterr().out
@@ -434,6 +471,15 @@ class TestProtocolDemo:
         last = json.loads(out.read_text().splitlines()[-1])
         assert last["type"] == "cat_fidelity"
         assert 1 - 1e-8 <= last["value"] <= 1.0
+
+    def test_degenerate_code_reports_undecodable_and_its_flags(self, tmp_path, capsys):
+        rc = run_cli(["protocol-demo", "--alpha", "0", "--d", "1",
+                      "--out", str(tmp_path / "t.jsonl")])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "decoded y: undecodable" in out
+        assert "flag: no security: trivial key space" in out
+        assert "flag: degenerate code: alpha = 0" in out
 
     def test_random_bits_are_seed_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -3,10 +3,12 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from phasekey import fock
 from phasekey.encoding import AmplitudeVector, BitString, PhaseKey, encode
 from phasekey.evaluation import (
     Interferometer,
@@ -161,6 +163,19 @@ class TestEvaluatorApply:
         assert isinstance(psi, CipherText)
         with pytest.raises(CapacityError, match="block entries"):
             evaluator_apply(CircuitDescription(gates=()), psi)
+
+    def test_received_many_mode_state_is_refused_before_any_table(self):
+        # cutoff 1 on 400 modes: 160001 block entries, inside 2^22, but a lift
+        # costs about 400 times that; past three modes the cap counts the work
+        psi = FockVector(cutoff=1, modes=400, amps=np.eye(1, 401)[0])
+        tables = (fock._grid, fock.sector_tables, fock._mode_slots)
+        misses = [f.cache_info().misses for f in tables]
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="total photon number at most 1 on 400 modes "
+                                                "exceeds the cap of 31457 block entries"):
+            evaluator_apply(CircuitDescription(gates=()), psi)
+        assert time.perf_counter() - start < 0.05
+        assert [f.cache_info().misses for f in tables] == misses
 
     def test_overflowing_energy_is_a_capacity_error_without_warning(self):
         # |alpha|^2 overflows a double; the pytest config turns a numpy

@@ -8,10 +8,10 @@ and energies up to E = 700, and at the edge of the e^{-E} underflow
 series start at their first normal term and are cumulative products; there
 the cutoffs and CapacityError cases must equal those of the scalar loop
 they replace, and the terms and class sums must agree within 1e-12; the
-product over a window sized from E must give the bits of the product over
-the cap's whole window.  The memoized series, class sums and distance must
-also equal the references on a repeated call and be keyed by every input,
-and the arrays must be read-only.
+product over the window a tail bound sizes from E and eps must give the
+bits of the product over the cap's whole window.  The memoized series,
+class sums and distance must also equal the references on a repeated call
+and be keyed by every input, and the arrays must be read-only.
 """
 
 import math
@@ -421,11 +421,11 @@ def test_closed_forms_at_the_underflow_edge_equal_reference():
 
 
 # --- series sized to their support ----------------------------------------------------
-# Up to UNDERFLOW_E the loop takes every step t = 1..floor(E) + 1 unconditionally
-# and tests its stop rule only on the tail; past it, the cumulative product runs
-# over a window sized from E and falls back to the full window only when the stop
-# rule does not fire inside it.  Either way the bits, the cutoff and the
-# CapacityError cases must be those of the full-window product.
+# The terms run over one window that a Poisson tail bound sizes from E and eps,
+# and the stop rule is searched for only past floor(E).  The bits, the cutoff and
+# the CapacityError cases must be those of the full-window product, including
+# at tails whose cut lies past the E + 12 sqrt(E) + 64 window an earlier
+# version tried first (_window_end).
 
 def ref_full_window_terms(E, eps, hard_cap=HARD_CUTOFF_CAP):
     """poisson_terms past the underflow as one cumulative product over the whole window."""
@@ -548,3 +548,46 @@ def test_memoized_distance_is_keyed_by_every_parameter():
     assert len(set(wants)) == len(wants)
     for _ in range(2):
         assert [encrypted_trace_distance(p) for p in variants] == wants
+
+
+# --- one window and one cut -------------------------------------------------------------
+# poisson_terms builds its terms once, over a window that a Poisson tail bound
+# sizes from E and eps, and cuts them at one bisection of the falling tail.  On a
+# sample of energies, tails and caps it must keep the bits and the CapacityError
+# cases of the loop up to UNDERFLOW_E and of the full-window product past it,
+# including tails of 1e-30 and below, whose cut lies past the 12 sqrt(E) + 64 guess.
+
+BOUND_EPS = (1e-300, 1e-40, 1e-30, 1e-14, 1e-6, 0.999999)
+BOUND_CAPS = (10, 500, HARD_CUTOFF_CAP)
+
+
+def _bound_energies():
+    rng = np.random.default_rng(20261023)
+    edges = [0.0, 1e-300, 0.5, 1.0, 40.0, 708.0, UNDERFLOW_E, ABOVE_UNDERFLOW_E, 709.0,
+             3000.0, 8255.9, 8256.0]
+    return edges + [float(E) for E in np.exp(rng.uniform(math.log(1e-8), math.log(7900.0), 160))]
+
+
+def _reference_outcome(E, eps, hard_cap):
+    """The loop's bits up to UNDERFLOW_E, the full-window product's past it; None for CapacityError."""
+    if E > UNDERFLOW_E:
+        return _bytes_or_error(ref_full_window_terms, E, eps, hard_cap)
+    try:
+        n = len(ref_poisson_terms_loop(E, eps, hard_cap)) - 1
+    except CapacityError:
+        return None
+    return ref_series(E, E, n).tobytes()
+
+
+def test_bounded_window_keeps_the_bits_and_the_capacity_cases():
+    cases = [(E, eps, cap) for E in _bound_energies() for eps in BOUND_EPS for cap in BOUND_CAPS]
+    assert len(cases) >= 2000
+    mismatches, retries = [], 0
+    for E, eps, cap in cases:
+        got = _bytes_or_error(poisson_terms, E, eps, cap)
+        if got != _reference_outcome(E, eps, cap):
+            mismatches.append((E, eps, cap))
+        elif got is not None and E > UNDERFLOW_E and eps <= 1e-30:
+            retries += len(got) // 8 - 1 >= _window_end(E)  # the cutoff, and so the stop
+    assert mismatches == []
+    assert retries >= 20  # stops past the old first window, where its retry ran
