@@ -105,7 +105,8 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
     it one np.cumprod (same cutoff, terms within 1e-12 relative) whose
     terms below the start are 0 and whose kept ones are divided by their
     sum, which rounding in the log-form start would lift above 1.  Raises
-    CapacityError when n would exceed hard_cap.
+    CapacityError when n would exceed hard_cap, ValueError for eps outside
+    (0, 1) or below about 2.23e-302.
 
     Each series is computed once per process: the result is memoized, for
     the last _SERIES_CACHE_SIZE (E, eps, hard_cap), and returned read-only
@@ -118,6 +119,8 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
 def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    if eps * 1e-6 < sys.float_info.min:  # subnormal terms would stop where rounding puts them
+        raise ValueError(f"eps must be at least {sys.float_info.min / 1e-6:.3g}")
     if not E >= 0.0:  # NaN too
         raise ValueError(f"total energy must be nonnegative, got {E!r}")
     limit = 2 * hard_cap + 64
@@ -127,7 +130,7 @@ def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     # exp(-y^2 / (2 (E + y/3))), so every term past E + L/3 + sqrt(L^2/9 + 2LE) is
     # below e^{-L} = eps * 1e-6.  Both forms run left to right: the terms up to the
     # cut have the bits of a loop that stops there.
-    L = -math.log(eps) - math.log(1e-6)  # finite where eps * 1e-6 underflows
+    L = -math.log(eps) - math.log(1e-6)
     end = min(math.floor(E + L / 3 + math.sqrt(L * L / 9 + 2 * L * E)) + 1, limit + 1)
     start, x = _poisson_start(E)
     if start:

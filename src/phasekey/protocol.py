@@ -51,7 +51,7 @@ from .evaluation import (
     nonlinear_phase_evolve,
 )
 from .fock import (CapacityError, FockVector, block_entries, coherent_coefficients, coherent_fock,
-                   mean_photon_number, mode_overlap_norms, truncation_bound)
+                   mode_overlap_norms, truncation_bound)
 
 # Largest number-basis grid the evaluator lifts to or accepts: max(m, 3) times its
 # fixed-total block entries (fock.block_entries) stay within 3 * FOCK_SIZE_CAP, since
@@ -79,9 +79,6 @@ class CircuitDescription:
             if not isinstance(g, (Interferometer, NonlinearPhaseSpec)):
                 raise ValueError(f"unsupported gate object: {type(g).__name__}")
         object.__setattr__(self, "gates", gates)
-
-    def has_nonlinear(self) -> bool:
-        return any(isinstance(g, NonlinearPhaseSpec) for g in self.gates)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -168,7 +165,7 @@ def _wire_complexes(pairs, what: str) -> list:
 
 
 def ciphertext_from_json(text: str) -> CipherText:
-    """The state a ciphertext message carries; evaluator_apply caps its size."""
+    """The state a ciphertext message carries; evaluator_apply and client_decrypt cap its size."""
     obj = _load(text)
     if not isinstance(obj, dict) or obj.get("type") != "ciphertext":
         raise ValueError('expected an object with "type": "ciphertext"')
@@ -261,13 +258,13 @@ def _check_fock_size(n_max: int, m: int) -> None:
                             f"{m} modes exceeds the cap of {cap} block entries")
 
 
-def _evaluate(circuit: CircuitDescription, states: list, n_max: "int | None") -> list:
+def _evaluate(circuit: CircuitDescription, states: list) -> list:
     """Run the circuit on every state in one walk over the gates.
 
     The states share a mode count, a representation and, in the number
     basis, a cutoff.  Interferometers act on coherent amplitudes directly;
     the first nonlinear gate expands every state into the number basis at
-    one cutoff, n_max or else the one the first state's total energy gives.
+    the cutoff of the first state's total energy, m|alpha|^2 for any key.
     _lift_interferometer builds each number-basis block once for all states,
     with the bits of a run on each alone.  A number-basis grid received or
     lifted to beyond FOCK_SIZE_CAP raises CapacityError before anything is
@@ -281,8 +278,7 @@ def _evaluate(circuit: CircuitDescription, states: list, n_max: "int | None") ->
             raise ValueError("gate size must match the ciphertext mode count")
         if isinstance(gate, NonlinearPhaseSpec):
             if isinstance(states[0], AmplitudeVector):
-                if n_max is None:
-                    n_max = truncation_bound(states[0].total_energy())
+                n_max = truncation_bound(states[0].total_energy())
                 _check_fock_size(n_max, m)
                 states = [coherent_fock(s.amps, n_max) for s in states]
             try:
@@ -296,22 +292,22 @@ def _evaluate(circuit: CircuitDescription, states: list, n_max: "int | None") ->
     return states
 
 
-def evaluator_apply(circuit: CircuitDescription, ct: CipherText,
-                    n_max: "int | None" = None) -> CipherText:
-    """Run the circuit on a ciphertext, never seeing the key.
+def evaluator_apply(circuit: CircuitDescription, ct: CipherText) -> CipherText:
+    """Run the circuit on a ciphertext, never seeing the key or alpha.
 
     The one-state case of _evaluate, the walk run_protocol shares between
     the ciphertext and its plaintext reference: the number-basis cutoff is
-    n_max or else the ciphertext's energy's, and a grid over FOCK_SIZE_CAP
-    raises CapacityError before anything is allocated for it.
+    the one the ciphertext's total energy gives, and a grid over
+    FOCK_SIZE_CAP raises CapacityError before anything is allocated for it.
     """
-    return _evaluate(circuit, [ct], n_max)[0]
+    return _evaluate(circuit, [ct])[0]
 
 
 def client_decrypt(ct: CipherText, key: PhaseKey) -> CipherText:
-    """The plaintext state: the key rotation undone on every mode, nothing decoded."""
+    """The plaintext state, the key rotation undone; CapacityError for a grid over FOCK_SIZE_CAP."""
     if isinstance(ct, AmplitudeVector):
         return phase_rotate(ct, -key.theta)
+    _check_fock_size(ct.cutoff, ct.modes)
     return phase_rotate_fock(ct, -key.theta)
 
 
@@ -408,11 +404,11 @@ def run_protocol(x: BitString, alpha: complex, d: int, circuit: CircuitDescripti
     Correctness compares the decrypted state against direct plaintext
     evaluation: entrywise at amplitude level, within 1e-12 max(1, |alpha|),
     by overlap once a nonlinear gate has forced the number basis.  The
-    ciphertext and the plaintext go through the circuit in one walk at one
-    cutoff, sharing every number-basis interferometer lift; each result has
-    the bits evaluator_apply gives on that state alone.  Degenerate
-    parameter choices are flagged rather than rejected so sweeps can pass
-    through them.
+    ciphertext and the plaintext go through the circuit in one walk at the
+    ciphertext's cutoff, sharing every number-basis interferometer lift; each
+    result has the bits evaluator_apply gives on that state alone.
+    Degenerate parameter choices are flagged rather than rejected so sweeps
+    can pass through them.
     """
     m = len(x)
     alpha = complex(alpha)
@@ -423,11 +419,8 @@ def run_protocol(x: BitString, alpha: complex, d: int, circuit: CircuitDescripti
     if alpha == 0:
         flags.append("degenerate code: alpha = 0")
 
-    # one shared cutoff keeps the encrypted and reference paths comparable
-    n_max = truncation_bound(mean_photon_number(abs(alpha), m)) if circuit.has_nonlinear() else None
-
     sent = client_encrypt(x, alpha, key)
-    returned, reference = _evaluate(circuit, [sent, encode(x, alpha)], n_max)
+    returned, reference = _evaluate(circuit, [sent, encode(x, alpha)])
     decrypted = client_decrypt(returned, key)
 
     if isinstance(decrypted, AmplitudeVector):

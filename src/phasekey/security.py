@@ -231,12 +231,13 @@ def unencrypted_trace_distance(w: int, abs_alpha: float) -> float:
 def suppression_ratio(params: SecurityParams) -> SuppressionRatio:
     """R = encrypted over unencrypted distance, with both parts reported.
 
-    Undefined when the denominator vanishes (w = 0 or alpha = 0).
+    Undefined (ValueError) where the denominator is 0.0: at w = 0, alpha = 0
+    or |alpha| below about 1.5e-162, where |alpha|^2 rounds to 0.
     """
-    if params.w == 0 or params.abs_alpha == 0.0:
-        raise ValueError("suppression ratio is undefined at w = 0 or alpha = 0")
-    enc = encrypted_trace_distance(params)
     unenc = unencrypted_trace_distance(params.w, params.abs_alpha)
+    if unenc == 0.0:
+        raise ValueError("suppression ratio is undefined where the unencrypted distance is 0")
+    enc = encrypted_trace_distance(params)
     return SuppressionRatio(ratio=enc / unenc, encrypted=enc, unencrypted=unenc)
 
 

@@ -322,6 +322,15 @@ class TestSecuritySweep:
         defined = [line for line in lines if not line.endswith(",undefined")]
         assert len(defined) == 1 and defined[0].split(",")[5] == "1"
 
+    @pytest.mark.parametrize("m, alpha", [("1", "1e-200"), ("10", "1e-170")])
+    def test_ratio_undefined_where_alpha_squared_rounds_to_zero(self, m, alpha, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["security-sweep", "--quantity", "ratio", "--m", m, "--w", "1",
+                        "--alpha-min", alpha, "--alpha-max", alpha, "--alpha-step", "1",
+                        "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 1 and rows[0].endswith(",undefined")
+
     def test_energy_rule_fixed_pins_alpha(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run_cli(["security-sweep", "--quantity", "ratio", "--m", "2-4",

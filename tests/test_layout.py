@@ -411,7 +411,7 @@ def test_no_layout_arithmetic_outside_fock(module):
         assert banned not in source
 
 
-@pytest.mark.parametrize("owner", [SecurityParams, coherent_coefficients, run_protocol])
+@pytest.mark.parametrize("owner", [SecurityParams, coherent_coefficients])
 def test_energy_comes_from_mean_photon_number(owner):
     source = inspect.getsource(owner)
     assert "mean_photon_number(" in source and "OverflowError" not in source

@@ -164,16 +164,21 @@ class TestEvaluatorApply:
         with pytest.raises(CapacityError, match="block entries"):
             evaluator_apply(CircuitDescription(gates=()), psi)
 
-    def test_received_many_mode_state_is_refused_before_any_table(self):
+    @pytest.mark.parametrize("party", [
+        lambda psi: evaluator_apply(CircuitDescription(gates=()), psi),
+        lambda psi: client_decrypt_decode(psi, PhaseKey(k=1, d=3), 0.5),
+    ], ids=["evaluator_apply", "client_decrypt_decode"])
+    def test_received_many_mode_state_is_refused_before_any_table(self, party):
         # cutoff 1 on 400 modes: 160001 block entries, inside 2^22, but a lift
-        # costs about 400 times that; past three modes the cap counts the work
+        # costs about 400 times that and the decoder's tables O(G m^2); past
+        # three modes the cap counts the work
         psi = FockVector(cutoff=1, modes=400, amps=np.eye(1, 401)[0])
         tables = (fock._grid, fock.sector_tables, fock._mode_slots)
         misses = [f.cache_info().misses for f in tables]
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="total photon number at most 1 on 400 modes "
                                                 "exceeds the cap of 31457 block entries"):
-            evaluator_apply(CircuitDescription(gates=()), psi)
+            party(psi)
         assert time.perf_counter() - start < 0.05
         assert [f.cache_info().misses for f in tables] == misses
 

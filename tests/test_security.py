@@ -303,6 +303,9 @@ class TestSuppressionRatio:
             suppression_ratio(params(3, 10, 1.0, 0))
         with pytest.raises(ValueError):
             suppression_ratio(params(3, 10, 0.0, 1))
+        # |alpha|^2 rounds to 0, and so does the unencrypted distance
+        with pytest.raises(ValueError):
+            suppression_ratio(params(1, 10, 1e-200, 1))
 
     def test_grows_with_code_length(self):
         ratios = [suppression_ratio(params(m, 100, math.sqrt(1.0 / m), 1)).ratio

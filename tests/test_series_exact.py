@@ -591,3 +591,32 @@ def test_bounded_window_keeps_the_bits_and_the_capacity_cases():
             retries += len(got) // 8 - 1 >= _window_end(E)  # the cutoff, and so the stop
     assert mismatches == []
     assert retries >= 20  # stops past the old first window, where its retry ran
+
+
+# --- the eps floor -----------------------------------------------------------------------
+# The stop rule compares terms with eps * 1e-6; below eps ~ 2.23e-302 that threshold
+# is subnormal, the terms it meets are rounded to a few subnormal steps, and the
+# tail-bound window no longer holds the cut, so such eps are refused.
+
+FLOOR_EPS = 2.3e-302
+
+
+@pytest.mark.parametrize("E", [1.0, 2050.0])
+@pytest.mark.parametrize("eps", [2.0e-302, 4e-318, 5e-324])
+def test_eps_with_a_subnormal_stop_threshold_is_refused(eps, E):
+    with pytest.raises(ValueError, match=r"eps must be at least 2\.23e-302"):
+        truncation_bound(E, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-10, 1.0, 2.0])
+def test_eps_outside_the_unit_interval_keeps_its_message(eps):
+    with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+        poisson_terms(1.0, eps)
+
+
+def test_eps_just_above_the_floor_keeps_the_reference_bits():
+    assert FLOOR_EPS * 1e-6 >= sys.float_info.min
+    for E in (0.0, 1e-8, 1.0, 40.0, 708.0, 2050.0):
+        want = _reference_outcome(E, FLOOR_EPS, HARD_CUTOFF_CAP)
+        assert want is not None
+        assert _bytes_or_error(poisson_terms, E, FLOOR_EPS, HARD_CUTOFF_CAP) == want

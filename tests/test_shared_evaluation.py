@@ -21,7 +21,7 @@ from phasekey.evaluation import (
     interferometer_fock,
     nonlinear_phase_evolve,
 )
-from phasekey.fock import CapacityError, coherent_fock, mean_photon_number, truncation_bound
+from phasekey.fock import CapacityError, coherent_fock, truncation_bound
 from phasekey.protocol import (
     CircuitDescription,
     Transcript,
@@ -35,11 +35,17 @@ from phasekey.protocol import (
 )
 
 
-def _evaluate_alone(circuit, state, n_max):
-    """One state through the circuit, every interferometer lifted for it alone."""
+def _evaluate_alone(circuit, state, n_max=None):
+    """One state through the circuit, every interferometer lifted for it alone.
+
+    The first nonlinear gate expands it at n_max or else, as the evaluator
+    does, at the cutoff its own total energy gives.
+    """
     for gate in circuit.gates:
         if isinstance(gate, NonlinearPhaseSpec):
             if isinstance(state, AmplitudeVector):
+                if n_max is None:
+                    n_max = truncation_bound(state.total_energy())
                 state = coherent_fock(state.amps, n_max)
             state = nonlinear_phase_evolve(gate, state)
         elif isinstance(state, AmplitudeVector):
@@ -59,12 +65,12 @@ def _two_run_protocol(x, alpha, d, circuit, seed):
         flags.append("no security: trivial key space")
     if alpha == 0:
         flags.append("degenerate code: alpha = 0")
-    n_max = truncation_bound(mean_photon_number(abs(alpha), m)) if circuit.has_nonlinear() else None
 
     sent = client_encrypt(x, alpha, key)
-    returned = _evaluate_alone(circuit, sent, n_max)
+    returned = _evaluate_alone(circuit, sent)
     decrypted = client_decrypt(returned, key)
-    reference = _evaluate_alone(circuit, encode(x, alpha), n_max)
+    # the plaintext reference runs at the cutoff of the ciphertext's run
+    reference = _evaluate_alone(circuit, encode(x, alpha), getattr(returned, "cutoff", None))
 
     if isinstance(decrypted, AmplitudeVector):
         diff = float(np.abs(decrypted.amps - reference.amps).max())
@@ -130,14 +136,14 @@ class TestOneWalkMatchesTwoRuns:
     def test_returned_and_reference_states(self, kind, m):
         x, alpha, d, seed = _exchange(m)
         circuit = _circuit(kind, m)
-        n_max = truncation_bound(mean_photon_number(alpha, m)) if circuit.has_nonlinear() else None
         sent = client_encrypt(x, alpha, keygen(d, seed))
         plain = encode(x, alpha)
-        returned, reference = protocol._evaluate(circuit, [sent, plain], n_max)
+        returned, reference = protocol._evaluate(circuit, [sent, plain])
         assert type(returned) is type(reference)
-        np.testing.assert_array_equal(returned.amps, _evaluate_alone(circuit, sent, n_max).amps)
+        n_max = getattr(returned, "cutoff", None)
+        np.testing.assert_array_equal(returned.amps, _evaluate_alone(circuit, sent).amps)
         np.testing.assert_array_equal(reference.amps, _evaluate_alone(circuit, plain, n_max).amps)
-        np.testing.assert_array_equal(evaluator_apply(circuit, sent, n_max).amps, returned.amps)
+        np.testing.assert_array_equal(evaluator_apply(circuit, sent).amps, returned.amps)
 
 
 class TestCapacity:
