@@ -78,64 +78,7 @@ from .security import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeVector",
-    "BitString",
-    "CapacityError",
-    "CipherText",
-    "CircuitDescription",
-    "DensityOperator",
-    "FockVector",
-    "Interferometer",
-    "NonlinearPhaseSpec",
-    "PartitionBlock",
-    "PgmResult",
-    "PhaseKey",
-    "SecurityParams",
-    "SuppressionRatio",
-    "Transcript",
-    "UndecodableError",
-    "apply_interferometer",
-    "apply_sign_flips",
-    "block_decomposition",
-    "cat_state_target",
-    "ciphertext_from_json",
-    "ciphertext_to_json",
-    "circuit_from_json",
-    "circuit_to_json",
-    "client_decrypt",
-    "client_decrypt_decode",
-    "client_encrypt",
-    "codeword_fock",
-    "coherent_coefficients",
-    "coherent_fock",
-    "density_from_fock",
-    "encode",
-    "encrypted_distance_oracle",
-    "encrypted_trace_distance",
-    "encrypted_trace_distance_limit",
-    "encryption_channel_density",
-    "evaluator_apply",
-    "haar_random_unitary",
-    "interferometer_fock",
-    "kerr_cat_reference",
-    "keygen",
-    "nonlinear_phase_evolve",
-    "occupation_array",
-    "overlap",
-    "pgm_closed_form",
-    "pgm_numeric_oracle",
-    "phase_rotate",
-    "phase_rotate_fock",
-    "poisson_terms",
-    "qk_ak_enumeration",
-    "qk_ak_finite",
-    "rank2_eigenvalues",
-    "run_protocol",
-    "suppression_ratio",
-    "total_photon_numbers",
-    "trace_distance_numeric",
-    "truncation_bound",
-    "unencrypted_trace_distance",
-    "__version__",
-]
+# every public name imported above, then the version string
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and type(value).__name__ != "module")
+__all__.append("__version__")

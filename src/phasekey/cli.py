@@ -50,8 +50,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_int_list(text: str) -> list:
-    """Accept "3", "1,4,9" and "2-12" (inclusive), in any combination."""
+    """Accept "3", "1,4,9" and "2-12" (inclusive), in any combination.
+
+    Refuses a list of more than ALPHA_GRID_CAP values; a range is counted
+    before it is built.
+    """
     values = set()
+    too_long = f"more than {ALPHA_GRID_CAP} values in {text!r}"
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -62,11 +67,15 @@ def parse_int_list(text: str) -> list:
                 lo, hi = int(lo_text), int(hi_text)
                 if hi < lo:
                     raise argparse.ArgumentTypeError(f"descending range {part!r}")
+                if hi - lo >= ALPHA_GRID_CAP:
+                    raise argparse.ArgumentTypeError(too_long)
                 values.update(range(lo, hi + 1))
             else:
                 values.add(int(part))
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from None
+        if len(values) > ALPHA_GRID_CAP:
+            raise argparse.ArgumentTypeError(too_long)
     return sorted(values)
 
 
@@ -105,10 +114,10 @@ def parse_energy(text: str) -> float:
     return value
 
 
-def parse_energy_rule(text: str):
-    """Return E as a function of m: "fixed" (a constant) or "m^R"."""
+def parse_energy_rule(text: str, E: float):
+    """Return the total energy as a function of m: "fixed" (always E) or "m^R"."""
     if text == "fixed":
-        return None
+        return lambda m: E
     if text.startswith("m^"):
         try:
             r = float(text[2:])
@@ -160,15 +169,13 @@ def _cmd_security_sweep(args) -> int:
     ms, ws = args.m, args.w
     if max(ws) > min(ms):
         raise _UsageError("every --w value must be <= every --m value")
-    rule = parse_energy_rule(args.energy_rule) if args.energy_rule else None
+    rule = parse_energy_rule(args.energy_rule, args.E) if args.energy_rule else None
     rows = ["quantity,m,d,abs_alpha,E,w,value"]
     for m in ms:
-        if rule is None and args.energy_rule == "fixed":
-            alphas = [math.sqrt(args.E / m)]
-        elif rule is not None:
-            alphas = [math.sqrt(rule(m) / m)]
-        else:
+        if rule is None:
             alphas = alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step)
+        else:
+            alphas = [math.sqrt(rule(m) / m)]
         for w in ws:
             for alpha in alphas:
                 p = SecurityParams(m=m, d=args.d, abs_alpha=alpha, w=w)
@@ -180,10 +187,10 @@ def _cmd_security_sweep(args) -> int:
 
 
 def _cmd_mutinfo(args) -> int:
-    rule = parse_energy_rule(args.energy_rule)
+    rule = parse_energy_rule(args.energy_rule, args.E)
     rows = ["m,E,abs_alpha,i_total"]
     for m in args.m:
-        E = args.E if rule is None else rule(m)
+        E = rule(m)
         alpha = math.sqrt(E / m)
         res = pgm_closed_form(alpha, modes=m)
         rows.append(",".join([str(m), wire_float(E), wire_float(alpha),

@@ -4,11 +4,11 @@ The photon-number basis is cut on the total: the grid of cutoff n_max on
 m modes holds the C(n_max+m, m) occupations z with z_1 + ... + z_m <=
 n_max, ordered by total, then lexicographically with z_1 most significant,
 so sector n (total n) is one slice and one mode is 0..n_max.  Only this
-module knows that layout: occupation_array, total_photon_numbers and
-sector_sizes read one cached index per grid, grid_size and block_entries
-size it without a huge binomial, sector_tables gives its fixed-total
-blocks and mode_overlap_norms its per-mode contractions; mean_photon_number
-(inf past a double) and distance_cutoff give its cutoff.
+module knows that layout: occupation_array and total_photon_numbers read
+one cached index per grid, grid_size and block_entries size it without a
+huge binomial, sector_tables gives its fixed-total blocks and
+mode_overlap_norms its per-mode contractions; mean_photon_number (inf past
+a double) and distance_cutoff give its cutoff.
 """
 
 from __future__ import annotations
@@ -172,7 +172,14 @@ def truncation_bound(abs_alpha_sq_total: float, eps: float = DEFAULT_TRUNCATION_
 
 
 def distance_cutoff(abs_alpha_sq_total: float, tol: float) -> int:
-    """truncation_bound(E, tol ** 2): dropped mass eps moves a distance by up to about sqrt(eps)."""
+    """truncation_bound(E, tol ** 2): dropped mass eps moves a distance by up to about sqrt(eps).
+
+    Raises ValueError unless 0 < tol < 1 and tol ** 2 * 1e-6, poisson_terms'
+    stop threshold, is a normal double (tol above about 1.49e-151).
+    """
+    if not (0.0 < tol < 1.0 and tol ** 2 * 1e-6 >= sys.float_info.min):  # NaN too
+        raise ValueError(f"tol must lie in (0, 1) with tol ** 2 * 1e-6 a normal double "
+                         f"(tol above about 1.49e-151), got {tol!r}")
     return truncation_bound(abs_alpha_sq_total, tol ** 2)
 
 
@@ -226,11 +233,6 @@ def occupation_array(n_max: int, modes: int) -> np.ndarray:
 def total_photon_numbers(n_max: int, modes: int) -> np.ndarray:
     """Total photon number of each occupation tuple, in index order, read-only."""
     return _grid(n_max, modes)[1]
-
-
-def sector_sizes(n_max: int, modes: int) -> np.ndarray:
-    """Occupation tuples per total 0..n_max, C(n+modes-1, modes-1)."""
-    return np.diff(_grid(n_max, modes)[2])
 
 
 def grid_size(n_max: int, modes: int, cap: int) -> int:
@@ -392,51 +394,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self, expected_trace: float = 1.0) -> None:
-        """Check trace and spectrum against the density-operator contract."""
-        tr = np.trace(self.entries).real
-        if abs(tr - expected_trace) > 1e-9:
-            raise ValueError(f"trace {tr!r} differs from {expected_trace!r} by more than 1e-9")
-        lo = _sector_eigvalsh(self.entries, self.sectors).min()
-        if lo < -1e-10:
-            raise ValueError(f"negative eigenvalue {lo!r} below the -1e-10 floor")
-
-
-def _sector_eigvalsh(mat: np.ndarray, sectors: np.ndarray,
-                     minus: np.ndarray | None = None) -> np.ndarray:
-    """Eigenvalues of the diagonal blocks of Hermitian mat - minus over equal sector labels.
-
-    minus defaults to zero.  Each sector's block is one gather from each
-    matrix, mat[ix] - minus[ix] with ix = np.ix_(idx, idx): the bits of
-    (mat - minus)[ix], without forming the whole difference.  Raises
-    ValueError unless the dropped off-block part E of mat - minus obeys
-    (1/2) sqrt(dim) ||E||_F <= SECTOR_LEAK_TOL.  Since ||E||_1 <= sqrt(dim)
-    ||E||_F, half the summed |eigenvalues| is then within SECTOR_LEAK_TOL of
-    the full eigensolve's, and (Weyl) every eigenvalue moves by at most
-    ||E||_2 <= ||E||_F.  ||E||_F^2 is summed over contiguous slices of _TILE
-    rows of mat - minus, formed one at a time in one buffer with their
-    same-sector entries zeroed; with one sector there is no E.
-    """
-    order = np.argsort(sectors, kind="stable")
-    lams = []
-    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
-        ix = np.ix_(idx, idx)
-        lams.append(np.linalg.eigvalsh(mat[ix] if minus is None else mat[ix] - minus[ix]))
-    leak = 0.0
-    if len(lams) > 1:
-        buf = np.empty((min(_TILE, len(mat)), len(mat)), dtype=complex)
-        for lo in range(0, len(mat), _TILE):
-            rows = slice(lo, lo + _TILE)
-            off = np.subtract(mat[rows], 0.0 if minus is None else minus[rows],
-                              out=buf[:len(mat) - lo])
-            np.putmask(off, sectors[rows, None] == sectors, 0.0)
-            leak += float(np.vdot(off, off).real)
-    bound = 0.5 * math.sqrt(len(mat) * leak)
-    if not bound <= SECTOR_LEAK_TOL:  # a NaN leak fails too
-        raise ValueError(f"operator is not block diagonal over its sectors: off-sector "
-                         f"part moves the trace norm by up to {bound:.3e} > {SECTOR_LEAK_TOL:g}")
-    return np.concatenate(lams)
-
 
 def density_from_fock(psi: FockVector) -> DensityOperator:
     """Rank-one density operator |psi><psi|."""
@@ -446,14 +403,39 @@ def density_from_fock(psi: FockVector) -> DensityOperator:
 def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Trace distance (1/2)||rho - sigma||_1 by Hermitian eigensolves, one per sector.
 
-    With equal sector labels on rho and sigma, _sector_eigvalsh solves each
-    sector's block of rho - sigma, with the bits of the whole difference,
-    and checks the off-sector part; otherwise the whole difference is one
-    sector.  eigvalsh is deterministic for identical input bits.
+    With equal sector labels on rho and sigma, each sector's block of
+    rho - sigma is one gather from each operator, rho[ix] - sigma[ix] with
+    ix = np.ix_(idx, idx): the bits of (rho - sigma)[ix], without forming
+    the whole difference.  Otherwise the whole difference is one sector.
+    eigvalsh is deterministic for identical input bits.
+
+    Raises ValueError unless the dropped off-block part E of rho - sigma
+    obeys (1/2) sqrt(dim) ||E||_F <= SECTOR_LEAK_TOL.  Since ||E||_1 <=
+    sqrt(dim) ||E||_F, the result is then within SECTOR_LEAK_TOL of the
+    full eigensolve's.  ||E||_F^2 is summed over contiguous slices of _TILE
+    rows of rho - sigma, formed one at a time in one buffer with their
+    same-sector entries zeroed; with one sector there is no E.
     """
     if rho.dim != sigma.dim:
         raise ValueError("trace distance requires equal dimensions")
     sectors = (rho.sectors if np.array_equal(rho.sectors, sigma.sectors)
                else np.zeros(rho.dim, dtype=np.int64))
-    lam = _sector_eigvalsh(rho.entries, sectors, minus=sigma.entries)
-    return 0.5 * float(np.abs(lam).sum())
+    a, b = rho.entries, sigma.entries
+    order = np.argsort(sectors, kind="stable")
+    lams = []
+    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
+        ix = np.ix_(idx, idx)
+        lams.append(np.linalg.eigvalsh(a[ix] - b[ix]))
+    leak = 0.0
+    if len(lams) > 1:
+        buf = np.empty((min(_TILE, len(a)), len(a)), dtype=complex)
+        for lo in range(0, len(a), _TILE):
+            rows = slice(lo, lo + _TILE)
+            off = np.subtract(a[rows], b[rows], out=buf[:len(a) - lo])
+            np.putmask(off, sectors[rows, None] == sectors, 0.0)
+            leak += float(np.vdot(off, off).real)
+    bound = 0.5 * math.sqrt(len(a) * leak)
+    if not bound <= SECTOR_LEAK_TOL:  # a NaN leak fails too
+        raise ValueError(f"operator is not block diagonal over its sectors: off-sector "
+                         f"part moves the trace norm by up to {bound:.3e} > {SECTOR_LEAK_TOL:g}")
+    return 0.5 * float(np.abs(np.concatenate(lams)).sum())

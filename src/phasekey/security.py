@@ -50,7 +50,7 @@ SERIES_TAIL_EPS = 1e-14
 PGM_PINV_CUT = 1e-12
 
 # Most parameter sets whose class sums _class_sums keeps, and whose
-# distance _distance keeps.
+# distance encrypted_trace_distance keeps.
 _CLASS_SUMS_CACHE_SIZE = 64
 
 
@@ -176,6 +176,7 @@ def qk_ak_enumeration(params: SecurityParams, n_max: int):
     return q, a
 
 
+@functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
 def encrypted_trace_distance(params: SecurityParams) -> float:
     """Trace distance between key-averaged codewords differing in w bits.
 
@@ -183,11 +184,6 @@ def encrypted_trace_distance(params: SecurityParams) -> float:
     Equal codewords (w = 0) are at distance 0.0 at any energy, with no
     series, so no cutoff cap applies to them.
     """
-    return _distance(params)
-
-
-@functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
-def _distance(params: SecurityParams) -> float:
     if params.w == 0:
         return 0.0
     q, s = _class_sums(params)

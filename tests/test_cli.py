@@ -36,16 +36,25 @@ class TestArgumentParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             cli.parse_int_list("5-2")
 
-    def test_energy_rule_fixed_is_none(self):
-        assert cli.parse_energy_rule("fixed") is None
+    def test_int_list_cap_counts_distinct_values(self, monkeypatch):
+        import argparse
+        monkeypatch.setattr(cli, "ALPHA_GRID_CAP", 5)
+        assert cli.parse_int_list("1-5,1-5") == [1, 2, 3, 4, 5]
+        assert cli.parse_int_list("1-3,3,4-5") == [1, 2, 3, 4, 5]
+        for text in ("1-6", "0-5", "1-3,4-6", "1,2,3,4,5,6", "1-5,7"):
+            with pytest.raises(argparse.ArgumentTypeError, match=f"more than 5 values in '{text}'"):
+                cli.parse_int_list(text)
+
+    def test_energy_rule_fixed_is_constant(self):
+        assert cli.parse_energy_rule("fixed", 2.5)(7) == 2.5
 
     def test_energy_rule_power(self):
-        rule = cli.parse_energy_rule("m^0.3")
+        rule = cli.parse_energy_rule("m^0.3", 2.5)
         assert rule(8) == pytest.approx(8 ** 0.3)
 
     def test_energy_rule_rejects_unknown(self):
         with pytest.raises(cli._UsageError):
-            cli.parse_energy_rule("log")
+            cli.parse_energy_rule("log", 2.5)
 
     def test_alpha_grid_endpoint_inclusive(self):
         grid = cli.alpha_grid(0.0, 2.0, 0.02)
@@ -246,7 +255,10 @@ class TestExitCodes:
         (["mutinfo", "--m", "2", "--energy-rule", "m^x"], "bad exponent in --energy-rule 'm^x'"),
         (["protocol-demo", "--m", "1", "--circuit", "swap"],
          "the swap circuit needs at least two modes"),
-    ], ids=["empty-list-entry", "non-numeric-float", "bad-rule-exponent", "swap-one-mode"])
+        (["security-sweep", "--quantity", "enc_distance", "--m", "10", "--w", "1-2000000"],
+         "argument --w: more than 1000000 values in '1-2000000'"),
+    ], ids=["empty-list-entry", "non-numeric-float", "bad-rule-exponent", "swap-one-mode",
+            "list-over-cap"])
     def test_bad_flag_value_is_usage(self, args, message, tmp_path, capsys):
         rc = run_cli(args + ["--out", str(tmp_path / "out")])
         assert rc == 1

@@ -158,10 +158,12 @@ class TestEncryptionChannel:
         assert np.abs(rho.entries[off]).max() < 1e-12
 
     def test_is_valid_density_operator(self):
-        n_max = truncation_bound(1.0, 1e-12)
-        rho = encryption_channel_density(BitString((1,)), 1.0, 5, n_max)
-        rho.validate(expected_trace=float(np.trace(rho.entries).real))
-        assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-9)
+        # one mode, and two modes with several sectors per key class
+        for x, alpha, n_max in [((1,), 1.0, truncation_bound(1.0, 1e-12)),
+                                ((0, 0), 0.8, truncation_bound(2 * 0.8 ** 2))]:
+            rho = encryption_channel_density(BitString(x), alpha, 5, n_max)
+            assert np.linalg.eigvalsh(rho.entries).min() >= -1e-10
+            assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-9)
 
     def test_invariant_under_key_group(self):
         d = 5

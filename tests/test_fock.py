@@ -15,10 +15,11 @@ from phasekey.fock import (
     coherent_coefficients,
     coherent_fock,
     density_from_fock,
+    distance_cutoff,
     occupation_array,
     overlap,
     poisson_terms,
-    sector_sizes,
+    sector_tables,
     total_photon_numbers,
     trace_distance_numeric,
     truncation_bound,
@@ -112,6 +113,11 @@ class TestTruncationBound:
         with pytest.raises(ValueError):
             truncation_bound(1.0, 0.0)
 
+    # 1.4917e-151 is about the smallest tol whose tol^2 * 1e-6 is a normal double
+    @pytest.mark.parametrize("tol", [1.4917e-151, 1e-10, 1e-6, 0.5])
+    def test_distance_cutoff_is_the_bound_at_tol_squared(self, tol):
+        assert distance_cutoff(3.3, tol) == truncation_bound(3.3, tol ** 2)
+
     @pytest.mark.parametrize("series", [poisson_terms, truncation_bound])
     def test_nan_energy_is_a_value_error(self, series):
         # not CapacityError: the CLI would report exit 3, capacity exceeded
@@ -136,7 +142,7 @@ class TestIndexing:
 
     @pytest.mark.parametrize("n_max, modes", [(0, 5), (3, 1), (1, 4), (4, 3)])
     def test_sector_sizes_count_the_totals(self, n_max, modes):
-        np.testing.assert_array_equal(sector_sizes(n_max, modes),
+        np.testing.assert_array_equal(np.diff(sector_tables(n_max, modes)[0]),
                                       np.bincount(total_photon_numbers(n_max, modes)))
 
     def test_kron_consistency(self):
@@ -291,15 +297,6 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="square matrix"):
             DensityOperator(np.zeros(shape))
 
-    def test_validate_contract(self):
-        rho = density_from_fock(coherent_fock([0.6], truncation_bound(0.36)))
-        rho.validate(expected_trace=rho.entries.trace().real)
-
-    def test_validate_flags_bad_trace(self):
-        rho = DensityOperator(0.5 * np.eye(3))
-        with pytest.raises(ValueError):
-            rho.validate(expected_trace=1.0)
-
 
 # --- sector-wise eigensolve ---------------------------------------------------
 
@@ -363,8 +360,6 @@ class TestSectorEigensolve:
                                 sectors=parity)
         with pytest.raises(ValueError, match="not block diagonal"):
             trace_distance_numeric(rho, sigma)
-        with pytest.raises(ValueError, match="not block diagonal"):
-            rho.validate()
 
     def test_leak_just_above_the_bound_is_refused(self):
         # E = [[0, eps], [eps, 0]] has (1/2) sqrt(2) ||E||_F = eps
@@ -391,16 +386,6 @@ class TestSectorEigensolve:
         got = trace_distance_numeric(rho, pure)
         assert got == _whole_difference_distance(rho, pure)
         assert abs(got - _full_eigvalsh_distance(rho, pure)) <= 1e-12
-
-    def test_validate_per_sector(self):
-        rho, _ = _channel_pair(2, 0.8, 5, 1)
-        rho.validate()
-        # a negative eigenvalue inside one sector is still found
-        bad = rho.entries.copy()
-        bad[0, 0] -= 1e-6
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityOperator(bad, sectors=rho.sectors).validate(
-                expected_trace=float(np.trace(bad).real))
 
     def test_default_is_one_sector(self):
         rho = DensityOperator(np.eye(3) / 3)

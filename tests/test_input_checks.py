@@ -14,13 +14,19 @@ from phasekey.encoding import (
     encryption_channel_density,
 )
 from phasekey.evaluation import NonlinearPhaseSpec, haar_random_unitary, nonlinear_phase_evolve
-from phasekey.fock import coherent_fock
+from phasekey.fock import coherent_fock, distance_cutoff
 from phasekey.protocol import CircuitDescription, circuit_from_json, wire_float
 from phasekey.security import SecurityParams, unencrypted_trace_distance
 
 
 def _circuit(gate):
     return circuit_from_json(json.dumps({"type": "circuit", "gates": [gate]}))
+
+
+def _bad_tol(tol):
+    return (lambda: distance_cutoff(1.0, tol),
+            "tol must lie in (0, 1) with tol ** 2 * 1e-6 a normal double "
+            f"(tol above about 1.49e-151), got {tol!r}")
 
 
 CASES = {
@@ -51,6 +57,12 @@ CASES = {
                        "|alpha| must be nonnegative"),
     "negative-w": (lambda: unencrypted_trace_distance(-1, 0.5), "w must be nonnegative"),
     "unknown-check-level": (lambda: run_checks("medium"), "unknown check level 'medium'"),
+    "negative-tol": _bad_tol(-1e-3),
+    "zero-tol": _bad_tol(0.0),
+    "tol-of-one": _bad_tol(1.0),
+    "nan-tol": _bad_tol(math.nan),
+    "tol-below-a-normal-eps": _bad_tol(1e-152),
+    "tol-just-below-a-normal-eps": _bad_tol(1.4916e-151),
 }
 
 

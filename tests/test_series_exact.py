@@ -529,11 +529,11 @@ def test_memoized_distance_equals_the_reference_on_every_call():
     p = SecurityParams(m=7, d=11, abs_alpha=math.sqrt(321.5 / 7), w=3)
     want = ref_distance(p)
     first = encrypted_trace_distance(p)
-    hits = security._distance.cache_info().hits
+    hits = security.encrypted_trace_distance.cache_info().hits
     assert first == want
     assert encrypted_trace_distance(p) == want
     assert encrypted_trace_distance(SecurityParams(m=7, d=11, abs_alpha=p.abs_alpha, w=3)) == want
-    assert security._distance.cache_info().hits == hits + 2
+    assert security.encrypted_trace_distance.cache_info().hits == hits + 2
 
 
 def test_memoized_distance_is_keyed_by_every_parameter():
