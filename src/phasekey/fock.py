@@ -35,8 +35,7 @@ _SERIES_CACHE_SIZE = 256
 SECTOR_LEAK_TOL = 1e-12
 
 # Rows and columns of one tile of a dense operator's Hermitian check: the
-# check holds a 256 kB tile at a time, never a full-size difference.  The
-# sector-wise eigensolve sums its off-sector leak over slices of _TILE rows.
+# check holds a 256 kB tile at a time, never a full-size difference.
 _TILE = 128
 
 
@@ -403,38 +402,32 @@ def density_from_fock(psi: FockVector) -> DensityOperator:
 def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Trace distance (1/2)||rho - sigma||_1 by Hermitian eigensolves, one per sector.
 
-    With equal sector labels on rho and sigma, each sector's block of
-    rho - sigma is one gather from each operator, rho[ix] - sigma[ix] with
-    ix = np.ix_(idx, idx): the bits of (rho - sigma)[ix], without forming
-    the whole difference.  Otherwise the whole difference is one sector.
-    eigvalsh is deterministic for identical input bits.
+    With equal sector labels on rho and sigma, each sector's rows of
+    rho - sigma are formed once, rho[idx] - sigma[idx], and held only while
+    that sector is solved.  eigvalsh takes their in-sector columns, the bits
+    of (rho - sigma)[np.ix_(idx, idx)]; the other columns are the off-sector
+    part E.  Otherwise the whole difference is one sector.  eigvalsh is
+    deterministic for identical input bits.
 
     Raises ValueError unless the dropped off-block part E of rho - sigma
     obeys (1/2) sqrt(dim) ||E||_F <= SECTOR_LEAK_TOL.  Since ||E||_1 <=
     sqrt(dim) ||E||_F, the result is then within SECTOR_LEAK_TOL of the
-    full eigensolve's.  ||E||_F^2 is summed over contiguous slices of _TILE
-    rows of rho - sigma, formed one at a time in one buffer with their
-    same-sector entries zeroed; with one sector there is no E.
+    full eigensolve's.
     """
     if rho.dim != sigma.dim:
         raise ValueError("trace distance requires equal dimensions")
     sectors = (rho.sectors if np.array_equal(rho.sectors, sigma.sectors)
                else np.zeros(rho.dim, dtype=np.int64))
-    a, b = rho.entries, sigma.entries
     order = np.argsort(sectors, kind="stable")
     lams = []
-    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
-        ix = np.ix_(idx, idx)
-        lams.append(np.linalg.eigvalsh(a[ix] - b[ix]))
     leak = 0.0
-    if len(lams) > 1:
-        buf = np.empty((min(_TILE, len(a)), len(a)), dtype=complex)
-        for lo in range(0, len(a), _TILE):
-            rows = slice(lo, lo + _TILE)
-            off = np.subtract(a[rows], b[rows], out=buf[:len(a) - lo])
-            np.putmask(off, sectors[rows, None] == sectors, 0.0)
-            leak += float(np.vdot(off, off).real)
-    bound = 0.5 * math.sqrt(len(a) * leak)
+    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
+        rows = rho.entries[idx]
+        rows -= sigma.entries[idx]
+        lams.append(np.linalg.eigvalsh(rows[:, idx]))
+        rows[:, idx] = 0.0
+        leak += float(np.vdot(rows, rows).real)
+    bound = 0.5 * math.sqrt(rho.dim * leak)
     if not bound <= SECTOR_LEAK_TOL:  # a NaN leak fails too
         raise ValueError(f"operator is not block diagonal over its sectors: off-sector "
                          f"part moves the trace norm by up to {bound:.3e} > {SECTOR_LEAK_TOL:g}")

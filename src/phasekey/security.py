@@ -9,7 +9,7 @@ The central objects are the trace distances an adversary can exploit:
 * their ratio R, which measures how much the encryption suppresses
   distinguishability.
 
-Closed forms evaluate in O(E + d) time via total-photon-number residue
+Closed forms evaluate in O(E) time at any d via total-photon-number residue
 sums.  They take the Poisson(E) terms from fock.poisson_terms, the same
 terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
 add them in index order (np.bincount, np.cumsum); that fixed order is what
@@ -114,7 +114,9 @@ def rank2_eigenvalues(C: float, cos_theta: float):
 
 @functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
 def _class_sums(params: SecurityParams):
-    """Residue-class sums (q_k, signed_k) for k = 0..d-1, read-only.
+    """Residue-class sums (q_k, signed_k) for k = 0..min(d, n + 1) - 1, read-only.
+
+    The series has n + 1 terms, so no class past them is ever nonempty.
 
     Grouping the occupation tuples of a class by their total photon number
     t turns both the weight and the signed overlap sum into single Poisson
@@ -134,8 +136,8 @@ def _class_sums(params: SecurityParams):
         r = (params.m - 2 * params.w) / params.m
         signed = pois * np.cumprod(np.concatenate(([1.0], np.full(len(pois) - 1, r))))
     residues = np.arange(len(pois)) % params.d
-    q = np.bincount(residues, pois, minlength=params.d)
-    s = np.bincount(residues, signed, minlength=params.d)
+    q = np.bincount(residues, pois)
+    s = np.bincount(residues, signed)
     q.flags.writeable = s.flags.writeable = False
     return q, s
 
@@ -143,13 +145,14 @@ def _class_sums(params: SecurityParams):
 def qk_ak_finite(params: SecurityParams, k: int):
     """Finite-d block weight and overlap (q_k, A_k).
 
-    A block whose weight underflows is reported absent as (0.0, 1.0); the
-    conventional A keeps sqrt(1 - A^2) at zero for absent blocks.
+    A block past the series or whose weight underflows is reported absent
+    as (0.0, 1.0); the conventional A keeps sqrt(1 - A^2) at zero for
+    absent blocks.
     """
     if not 0 <= k < params.d:
         raise ValueError("k must satisfy 0 <= k < d")
     q, s = _class_sums(params)
-    if q[k] < EMPTY_BLOCK_FLOOR:
+    if k >= len(q) or q[k] < EMPTY_BLOCK_FLOOR:
         return 0.0, 1.0
     return float(q[k]), float(min(1.0, max(-1.0, s[k] / q[k])))
 

@@ -1,6 +1,7 @@
 """Tests for the truncated Fock-space layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,22 @@ class TestSectorEigensolve:
         got = trace_distance_numeric(rho, pure)
         assert got == _whole_difference_distance(rho, pure)
         assert abs(got - _full_eigvalsh_distance(rho, pure)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_peak_memory_stays_within_two_full_size_matrices(self, d):
+        # one sector's rows of rho - sigma and their block are held at a
+        # time; with one sector (d = 1) that is the most, about two G x G
+        n_max = truncation_bound(3 * 0.5 ** 2, 1e-12)
+        rho, sigma = (encryption_channel_density(BitString(x), 0.5, d, n_max)
+                      for x in ((0, 0, 0), (1, 1, 0)))
+        assert rho.dim == 560
+        tracemalloc.start()
+        try:
+            trace_distance_numeric(rho, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * rho.dim ** 2 * 16
 
     def test_default_is_one_sector(self):
         rho = DensityOperator(np.eye(3) / 3)

@@ -12,6 +12,7 @@ from phasekey.security import (
     SERIES_TAIL_EPS,
     PgmResult,
     SecurityParams,
+    _class_sums,
     encrypted_distance_oracle,
     encrypted_trace_distance,
     encrypted_trace_distance_limit,
@@ -156,6 +157,14 @@ class TestFiniteBlocks:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             qk_ak_finite(params(2, 4, 1.0, 1), 4)
+
+    def test_key_space_far_past_the_series(self):
+        # the class sums hold one entry per series term, not one per key
+        p = params(2, 10 ** 12, 1.0, 1)
+        assert len(_class_sums(p)[0]) == truncation_bound(2.0, SERIES_TAIL_EPS) + 1 == 21
+        assert qk_ak_finite(p, 10 ** 12 - 1) == (0.0, 1.0)
+        assert qk_ak_finite(p, 20) == qk_ak_finite(params(2, 10 ** 5, 1.0, 1), 20)
+        assert encrypted_trace_distance(p) == encrypted_trace_distance(params(2, 10 ** 5, 1.0, 1))
 
 
 class TestEncryptedDistance:
