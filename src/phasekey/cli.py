@@ -16,7 +16,7 @@ import numpy as np
 from .checks import run_checks
 from .encoding import BitString
 from .evaluation import Interferometer, NonlinearPhaseSpec, cat_state_target
-from .fock import CapacityError
+from .fock import CapacityError, mean_photon_number
 from .protocol import (
     CircuitDescription,
     circuit_from_json,
@@ -25,9 +25,8 @@ from .protocol import (
 )
 from .security import (
     SecurityParams,
-    encrypted_trace_distance,
+    _line_distances,
     pgm_closed_form,
-    suppression_ratio,
     unencrypted_trace_distance,
 )
 
@@ -154,15 +153,43 @@ def _write_text(out: str, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _sweep_values(quantity: str, p: SecurityParams):
+def _sweep_value(quantity: str, w: int, alpha: float, enc: float) -> str:
     if quantity == "enc_distance":
-        return wire_float(encrypted_trace_distance(p))
+        return wire_float(enc)
+    unenc = unencrypted_trace_distance(w, alpha)
     if quantity == "unenc_distance":
-        return wire_float(unencrypted_trace_distance(p.w, p.abs_alpha))
-    try:
-        return wire_float(suppression_ratio(p).ratio)
-    except ValueError:
-        return "undefined"
+        return wire_float(unenc)
+    # suppression_ratio's rule: undefined where the unencrypted distance is 0.0
+    return wire_float(enc / unenc) if unenc != 0.0 else "undefined"
+
+
+def _add_sweep_rows(rows: list, quantity: str, m: int, d: int, ws: list, alphas: list) -> None:
+    """Append the CSV rows of one m to rows: w by w, each over alphas.
+
+    The encrypted distances come from one _line_distances pass, run by
+    run, and each run's rows are written into their place.  An invalid
+    |alpha| raises its ValueError where the first line reaches it, after
+    any capacity error of that line's earlier rows.
+    """
+    for count, alpha in enumerate(alphas):
+        try:
+            SecurityParams(m=m, d=d, abs_alpha=alpha, w=ws[0])
+        except ValueError:
+            if quantity != "unenc_distance":
+                list(_line_distances(m, d, ws[:1], alphas[:count]))
+            raise
+    runs = (_line_distances(m, d, ws, alphas) if quantity != "unenc_distance"
+            else [(alphas, [[None] * len(alphas)] * len(ws))])
+    at = len(rows)
+    rows += [None] * (len(ws) * len(alphas))
+    for run, values in runs:
+        heads = [f"{quantity},{m},{d},{wire_float(alpha)},"
+                 f"{wire_float(mean_photon_number(alpha, m))}," for alpha in run]
+        for i, (w, encs) in enumerate(zip(ws, values)):
+            start = at + i * len(alphas)
+            rows[start:start + len(run)] = [f"{head}{w},{_sweep_value(quantity, w, alpha, enc)}"
+                                            for head, alpha, enc in zip(heads, run, encs)]
+        at += len(run)
 
 
 def _cmd_security_sweep(args) -> int:
@@ -172,17 +199,12 @@ def _cmd_security_sweep(args) -> int:
     rule = parse_energy_rule(args.energy_rule, args.E) if args.energy_rule else None
     rows = ["quantity,m,d,abs_alpha,E,w,value"]
     for m in ms:
-        if rule is None:
-            alphas = alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step)
-        else:
-            alphas = [math.sqrt(rule(m) / m)]
-        for w in ws:
-            for alpha in alphas:
-                p = SecurityParams(m=m, d=args.d, abs_alpha=alpha, w=w)
-                rows.append(",".join([
-                    args.quantity, str(m), str(args.d), wire_float(alpha),
-                    wire_float(p.E), str(w), _sweep_values(args.quantity, p)]))
-    _write_text(args.out, "\n".join(rows) + "\n")
+        # the grid is passed, not named, so none is held while the text is joined
+        _add_sweep_rows(rows, args.quantity, m, args.d, ws,
+                        alpha_grid(args.alpha_min, args.alpha_max, args.alpha_step)
+                        if rule is None else [math.sqrt(rule(m) / m)])
+    rows.append("")  # the final newline, with no second copy of the text
+    _write_text(args.out, "\n".join(rows))
     return EXIT_OK
 
 

@@ -406,7 +406,8 @@ def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> floa
     rho - sigma are formed once, rho[idx] - sigma[idx], and held only while
     that sector is solved.  eigvalsh takes their in-sector columns, the bits
     of (rho - sigma)[np.ix_(idx, idx)]; the other columns are the off-sector
-    part E.  Otherwise the whole difference is one sector.  eigvalsh is
+    part E.  Otherwise, or when every label is equal, the whole difference
+    rho - sigma is one sector, solved as it is, with no E.  eigvalsh is
     deterministic for identical input bits.
 
     Raises ValueError unless the dropped off-block part E of rho - sigma
@@ -418,15 +419,18 @@ def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> floa
         raise ValueError("trace distance requires equal dimensions")
     sectors = (rho.sectors if np.array_equal(rho.sectors, sigma.sectors)
                else np.zeros(rho.dim, dtype=np.int64))
-    order = np.argsort(sectors, kind="stable")
     lams = []
     leak = 0.0
-    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
-        rows = rho.entries[idx]
-        rows -= sigma.entries[idx]
-        lams.append(np.linalg.eigvalsh(rows[:, idx]))
-        rows[:, idx] = 0.0
-        leak += float(np.vdot(rows, rows).real)
+    if (sectors == sectors[0]).all():
+        lams.append(np.linalg.eigvalsh(rho.entries - sigma.entries))
+    else:
+        order = np.argsort(sectors, kind="stable")
+        for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
+            rows = rho.entries[idx]
+            rows -= sigma.entries[idx]
+            lams.append(np.linalg.eigvalsh(rows[:, idx]))
+            rows[:, idx] = 0.0
+            leak += float(np.vdot(rows, rows).real)
     bound = 0.5 * math.sqrt(rho.dim * leak)
     if not bound <= SECTOR_LEAK_TOL:  # a NaN leak fails too
         raise ValueError(f"operator is not block diagonal over its sectors: off-sector "

@@ -17,7 +17,11 @@ keeps the sweep CSVs byte-identical.  Past E ~ 708.4, where e^{-E} is no
 longer a normal double, the terms start at the first normal one, so the
 closed forms hold at every energy the cutoff cap admits.  The series, the
 class sums and the encrypted distance are memoized per process in bounded
-caches, so a sweep row builds each of them once.
+caches, so a parameter set builds each of them once.  A sweep line, one
+(m, d) over a run of |alpha| and several w, is one array pass per run of
+at most _LINE_ENTRIES series terms (_line_distances), and a single call
+is the same code on one row: each row runs the same IEEE operations in
+the same order as it would alone, so every row keeps its bits.
 Every closed form has a brute-force companion (the dense channel average of
 encoding with fock.trace_distance_numeric; here, the support-basis oracle,
 tuple enumeration and the numeric pretty-good measurement) so the formulas
@@ -52,6 +56,10 @@ PGM_PINV_CUT = 1e-12
 # Most parameter sets whose class sums _class_sums keeps, and whose
 # distance encrypted_trace_distance keeps.
 _CLASS_SUMS_CACHE_SIZE = 64
+
+# Most entries, series terms times |alpha| rows, that one array of a sweep
+# line holds: 2^13 doubles (64 kB).  A longer line runs in several passes.
+_LINE_ENTRIES = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,115 @@ def rank2_eigenvalues(C: float, cos_theta: float):
     return (1 + C) * (1 - cos_theta), (1 - C) * (1 + cos_theta)
 
 
+def _series_runs(m: int, abs_alphas):
+    """Yield (alphas, series, width): consecutive runs of abs_alphas, their
+    Poisson(m|alpha|^2) series and the longest one's length.
+
+    A run grows while width times its rows stays within _LINE_ENTRIES, so
+    an error is raised at the first |alpha|, in order, whose series fails.
+    """
+    run, series, width = [], [], 0
+    for abs_alpha in abs_alphas:
+        pois = poisson_terms(mean_photon_number(abs_alpha, m), SERIES_TAIL_EPS)
+        if series and max(width, len(pois)) * (len(series) + 1) > _LINE_ENTRIES:
+            yield run, series, width
+            run, series, width = [], [], 0
+        run.append(abs_alpha)
+        series.append(pois)
+        width = max(width, len(pois))
+    if run:
+        yield run, series, width
+
+
+def _steps(x, c, n: int) -> list:
+    """[x, x c / 1, x c^2 / 2!, ...]: n terms, each step x * c / t, on floats or arrays."""
+    return [x] + [x := x * c / t for t in range(1, n)]
+
+
+def _powers(r: float, n: int) -> np.ndarray:
+    """r^t for t = 0..n-1 as one np.cumprod of r."""
+    return np.cumprod(np.concatenate(([1.0], np.full(n - 1, r))))
+
+
+def _signed_terms(m: int, w: int, alphas, series, terms: np.ndarray):
+    """The signed series e^{-E} c^t / t!, c = (m - 2w)|alpha|^2, of each row, flat as terms.
+
+    While poisson_terms starts at t = 0 (E up to ~708.4) these are _steps
+    from e^{-E}, the scalar steps whose bits the goldens pin: on floats for
+    a lone series (1-D terms), elementwise over the columns of a run, 0
+    past each column's series.  Past it, they are p_t r^t with r =
+    (m - 2w)/m and r^t from _powers, which keeps A = +-1 exact at w = 0
+    and w = m.
+    """
+    if terms.ndim == 1:
+        if terms[0] > 0.0:
+            return _steps(float(terms[0]), (m - 2 * w) * alphas[0] ** 2, len(terms))
+        return terms * _powers((m - 2 * w) / m, len(terms))
+    signed = terms * _powers((m - 2 * w) / m, len(terms))[:, None]
+    lens = [len(pois) if pois[0] > 0.0 else 0 for pois in series]
+    n = max(lens)
+    if n:
+        c = np.array([(m - 2 * w) * abs_alpha ** 2 for abs_alpha in alphas])
+        signed[:n] = np.where(np.arange(n)[:, None] < lens, _steps(terms[0], c, n), signed[:n])
+    return signed.ravel()
+
+
+def _class_sum_run(d: int, series: list, width: int):
+    """(terms, index, q): a run's series, each term's class, the class weights, at one d.
+
+    The series sit zero-padded in the columns of terms[t, j].  Class k of
+    row j sits at k * rows + j of q, for k below min(d, width), and index
+    sends each entry of terms.ravel() there.  q, which no w changes, and
+    each w's signed sums are one np.bincount over index, so each class
+    adds its terms in index order from 0.0, as _class_sums does for one
+    series.
+    """
+    terms = np.zeros((width, len(series)))
+    for j, pois in enumerate(series):
+        terms[:len(pois), j] = pois
+    index = (((np.arange(width) % d) * len(series))[:, None] + np.arange(len(series))).ravel()
+    return terms, index, np.bincount(index, terms.ravel())
+
+
+def _block_distances(q: np.ndarray, s: np.ndarray, owners: np.ndarray, rows: int) -> np.ndarray:
+    """sum_k q_k sqrt(1 - A_k^2) over the classes with q_k >= EMPTY_BLOCK_FLOOR, per row.
+
+    Class entry i belongs to row owners[i] of rows.  1 - A_k^2, A_k =
+    s_k / q_k, is clamped at 0, which is 1 - a^2 for a the clip of A_k to
+    [-1, 1].  Each row adds its blocks in index order from 0.0
+    (np.bincount), unlike the pairwise np.sum or the compensated builtin
+    sum of Python >= 3.12, so the output bytes never depend on either.
+    """
+    present = q >= EMPTY_BLOCK_FLOOR
+    q = q[present]
+    a = s[present] / q
+    return np.bincount(owners[present], q * np.sqrt(np.maximum(0.0, 1.0 - a * a)), rows)
+
+
+def _line_distances(m: int, d: int, ws, abs_alphas):
+    """Yield (alphas, [distances at w for w in ws]) for consecutive runs of abs_alphas.
+
+    The distances are encrypted_trace_distance at (m, d, w, |alpha|), bit
+    for bit: each run of _series_runs is one _class_sum_run, whose series
+    and q every w shares.  Equal codewords (w = 0) are at 0.0 with no
+    series, so lines of only those build none.
+    """
+    if not any(ws):
+        yield abs_alphas, [[0.0] * len(abs_alphas) for _ in ws]
+        return
+    for alphas, series, width in _series_runs(m, abs_alphas):
+        terms, index, q = _class_sum_run(d, series, width)
+        owners = np.arange(len(q)) % len(series)
+        lines = []
+        for w in ws:
+            if w:
+                s = np.bincount(index, _signed_terms(m, w, alphas, series, terms))
+                lines.append(_block_distances(q, s, owners, len(series)).tolist())
+            else:
+                lines.append([0.0] * len(alphas))
+        yield alphas, lines
+
+
 @functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
 def _class_sums(params: SecurityParams):
     """Residue-class sums (q_k, signed_k) for k = 0..min(d, n + 1) - 1, read-only.
@@ -121,23 +238,13 @@ def _class_sums(params: SecurityParams):
     Grouping the occupation tuples of a class by their total photon number
     t turns both the weight and the signed overlap sum into single Poisson
     series: q_k collects p_t = e^{-E} E^t / t! over t = k (mod d), the signed
-    sum collects e^{-E} c^t / t! with c = (m - 2w)|alpha|^2.  While
-    poisson_terms starts at t = 0 (E up to ~708.4) that is a scalar loop
-    from e^{-E}, whose bits the goldens pin.  Past it, it is p_t r^t with
-    r = (m - 2w)/m and r^t one np.cumprod of r, which keeps A = +-1 exact
-    at w = 0 and w = m.
+    sum collects e^{-E} c^t / t! with c = (m - 2w)|alpha|^2 (_signed_terms).
+    This is the line kernel's one-row case: _signed_terms on floats, no padding.
     """
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
-    if pois[0] > 0.0:
-        c = (params.m - 2 * params.w) * params.abs_alpha ** 2
-        x = float(pois[0])
-        signed = [x] + [x := x * c / t for t in range(1, len(pois))]
-    else:
-        r = (params.m - 2 * params.w) / params.m
-        signed = pois * np.cumprod(np.concatenate(([1.0], np.full(len(pois) - 1, r))))
     residues = np.arange(len(pois)) % params.d
     q = np.bincount(residues, pois)
-    s = np.bincount(residues, signed)
+    s = np.bincount(residues, _signed_terms(params.m, params.w, (params.abs_alpha,), (pois,), pois))
     q.flags.writeable = s.flags.writeable = False
     return q, s
 
@@ -190,10 +297,7 @@ def encrypted_trace_distance(params: SecurityParams) -> float:
     if params.w == 0:
         return 0.0
     q, s = _class_sums(params)
-    present = q >= EMPTY_BLOCK_FLOOR
-    a = np.minimum(1.0, np.maximum(-1.0, s[present] / q[present]))
-    blocks = q[present] * np.sqrt(np.maximum(0.0, 1.0 - a * a))
-    return _sum_in_order(blocks)
+    return float(_block_distances(q, s, np.zeros(len(q), dtype=np.intp), 1)[0])
 
 
 def encrypted_trace_distance_limit(params: SecurityParams) -> float:

@@ -8,11 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from phasekey import cli
+from phasekey import cli, fock
 from phasekey.checks import FAST_CHECKS, FULL_ONLY_CHECKS, CheckResult, run_checks
 from phasekey.evaluation import NonlinearPhaseSpec, haar_random_unitary
-from phasekey.protocol import CircuitDescription, circuit_to_json
-from phasekey.security import SecurityParams, encrypted_trace_distance, pgm_closed_form
+from phasekey.fock import CapacityError, truncation_bound
+from phasekey.protocol import CircuitDescription, circuit_to_json, wire_float
+from phasekey.security import (
+    SERIES_TAIL_EPS,
+    SecurityParams,
+    encrypted_trace_distance,
+    pgm_closed_form,
+    suppression_ratio,
+)
 
 
 def run_cli(args):
@@ -406,6 +413,68 @@ class TestSecuritySweep:
             assert run_cli(args + ["--d", d]) == 0
             rows.append(capsys.readouterr().out.splitlines()[1])
         assert rows == [f"{quantity},2,{d},1,2,1,{value}" for d in (100000, 1000000000000)]
+
+
+class TestSweepLines:
+    """Each (m, w) line is one array pass: the same values, ratio rule and errors as row by row."""
+
+    def test_ratio_undefined_exactly_where_the_one_row_ratio_is(self, capsys):
+        # |alpha| = 1e-200 squares to 0.0, so its distances are 0.0 and its ratio undefined
+        args = ["security-sweep", "--quantity", "ratio", "--m", "3", "--w", "0-3", "--d", "5",
+                "--alpha-min", "1e-200", "--alpha-max", "0.6", "--alpha-step", "0.1"]
+        assert run_cli(args) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        want = []
+        for w in range(4):
+            for abs_alpha in cli.alpha_grid(1e-200, 0.6, 0.1):
+                try:
+                    value = wire_float(suppression_ratio(
+                        SecurityParams(m=3, d=5, abs_alpha=abs_alpha, w=w)).ratio)
+                except ValueError:
+                    value = "undefined"
+                want.append(f"ratio,3,5,{wire_float(abs_alpha)},"
+                            f"{wire_float(3 * abs_alpha ** 2)},{w},{value}")
+        assert rows == want
+        undefined = [row for row in rows if row.endswith(",undefined")]
+        assert len(undefined) == 7 + 3  # every w = 0 row, and 1e-200 at w = 1, 2, 3
+        assert all(row.split(",")[3] == wire_float(1e-200) or row.split(",")[5] == "0"
+                   for row in undefined)
+
+    @pytest.mark.parametrize("quantity", ["enc_distance", "ratio"])
+    def test_run_across_the_series_cap_names_the_first_row_over_it(self, quantity, capsys):
+        # E = |alpha|^2 = 3025..4900: the tail-1e-14 series passes the 4096 cap first at
+        # |alpha| = 61; the w = 0 line before it needs no series and does not stop there
+        assert truncation_bound(3600.0, SERIES_TAIL_EPS) <= 4096
+        with pytest.raises(CapacityError):
+            truncation_bound(3721.0, SERIES_TAIL_EPS)
+        assert run_cli(["security-sweep", "--quantity", quantity, "--m", "1", "--d", "4",
+                        "--w", "0-1", "--alpha-min", "55", "--alpha-max", "70",
+                        "--alpha-step", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("phasekey: capacity exceeded: cutoff for tail 1e-14 at energy "
+                                "3721 exceeds the cap 4096\n")
+
+    def test_equal_codeword_lines_past_the_cap_build_no_series(self, capsys):
+        misses = fock._poisson_terms.cache_info().misses
+        assert run_cli(["security-sweep", "--quantity", "enc_distance", "--m", "1,2", "--d", "4",
+                        "--w", "0", "--alpha-min", "60", "--alpha-max", "70",
+                        "--alpha-step", "2.5"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 10 and {row.split(",")[6] for row in rows} == {"0"}
+        assert fock._poisson_terms.cache_info().misses == misses
+
+    @pytest.mark.parametrize("ws, code, message", [
+        ("1", 3, "capacity exceeded: cutoff for tail 1e-14 at energy 4225"),
+        ("0-1", 1, "error: |alpha| must be finite"),
+    ])
+    def test_invalid_alpha_after_a_row_over_the_cap(self, ws, code, message, capsys):
+        # rows run w by w: the w = 1 line stops at |alpha| = 65 over the cap, while a
+        # w = 0 line first reaches the |alpha| = 1e199 whose energy overflows
+        assert run_cli(["security-sweep", "--quantity", "enc_distance", "--m", "1", "--w", ws,
+                        "--alpha-min", "65", "--alpha-max", "1e200",
+                        "--alpha-step", "1e199"]) == code
+        assert message in capsys.readouterr().err
 
 
 class TestMutinfo:

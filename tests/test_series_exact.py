@@ -11,7 +11,10 @@ they replace, and the terms and class sums must agree within 1e-12; the
 product over the window a tail bound sizes from E and eps must give the
 bits of the product over the cap's whole window.  The memoized series,
 class sums and distance must also equal the references on a repeated call
-and be keyed by every input, and the arrays must be read-only.
+and be keyed by every input, and the arrays must be read-only.  A sweep
+line, one (m, d) over a run of |alpha| and several w, is one array pass
+per run of series, and each of its values must be the one-row distance's
+bits, and the reference loop's wherever that applies.
 """
 
 import math
@@ -31,6 +34,8 @@ from phasekey.security import (
     SERIES_TAIL_EPS,
     SecurityParams,
     _class_sums,
+    _line_distances,
+    _series_runs,
     encrypted_trace_distance,
     encrypted_trace_distance_limit,
     qk_ak_finite,
@@ -620,3 +625,91 @@ def test_eps_just_above_the_floor_keeps_the_reference_bits():
         want = _reference_outcome(E, FLOOR_EPS, HARD_CUTOFF_CAP)
         assert want is not None
         assert _bytes_or_error(poisson_terms, E, FLOOR_EPS, HARD_CUTOFF_CAP) == want
+
+
+# --- sweep lines ---------------------------------------------------------------------------
+# security._line_distances evaluates a line, one (m, d) over a run of |alpha| and
+# several w, with the series of each run of _series_runs zero-padded side by side.
+# Every value must equal the one-row encrypted_trace_distance (==), and ref_distance
+# wherever the loop applies: d up to 1000 and e^{-E} a normal double.
+
+def _line(m, d, ws, alphas):
+    """(params, got, one_row, reference) per (w, |alpha|) of a line; reference None where the
+    loop does not apply."""
+    got = [[] for _ in ws]
+    for _, values in _line_distances(m, d, ws, alphas):
+        for line, part in zip(got, values):
+            line += part
+    cases = []
+    for w, line in zip(ws, got):
+        assert len(line) == len(alphas)
+        for abs_alpha, value in zip(alphas, line):
+            p = SecurityParams(m=m, d=d, abs_alpha=abs_alpha, w=w)
+            ref = ref_distance(p) if d <= 1000 and p.E <= UNDERFLOW_E else None
+            cases.append((p, value, encrypted_trace_distance(p), ref))
+    return cases
+
+
+def _line_mismatches(cases):
+    return [(p, got, one, ref) for p, got, one, ref in cases
+            if not (got == one and (ref is None or got == ref))]
+
+
+def _weights(rng, m):
+    return sorted({0, m // 2, m, int(rng.integers(0, m + 1))})
+
+
+def _random_lines():
+    """Seeded lines: m up to 60, w in {0, m/2, m, random}, d from 1 through 10^12 and past the
+    series, |alpha| runs from 0, inside the series cap and straddling E ~ 708.4."""
+    rng = np.random.default_rng(20261029)
+    lines = []
+    for i in range(10):
+        m = int(rng.integers(1, 61))
+        E_hi = [40.0, 700.0, 720.0][i % 3]
+        lo = 0.0 if i % 2 else math.sqrt(float(rng.uniform(0.5, 0.95)) * E_hi / m)
+        alphas = [float(a) for a in np.linspace(lo, math.sqrt(E_hi / m), int(rng.integers(5, 30)))]
+        t_max = ref_truncation_bound(E_hi, SERIES_TAIL_EPS)
+        d = [1, 2, 2 * int(rng.integers(1, 50)) + 1, t_max + 1 + int(rng.integers(0, 50)),
+             10 ** 12][i % 5]
+        lines.append((m, d, _weights(rng, m), alphas))
+    return lines
+
+
+@pytest.mark.parametrize("m, d, ws, alphas", _random_lines())
+def test_line_equals_one_row_and_reference(m, d, ws, alphas):
+    assert _line_mismatches(_line(m, d, ws, alphas)) == []
+
+
+def test_line_across_the_underflow_edge():
+    # E = 702..718 at m = 1 (the CI sweep's line) and E ~ 707..710 at m = 7: rows on
+    # both sides of e^{-E} underflowing, the loop's steps on one side and the product
+    # on the other, and at m = 7 both in one run
+    straddled = False
+    for m, d, alphas in ((1, 7, [26.5 + i * 0.005 for i in range(61)]),
+                         (7, 3, [10.05 + i * 0.0005 for i in range(41)])):
+        energies = [m * a ** 2 for a in alphas]
+        assert min(energies) < UNDERFLOW_E < max(energies)
+        straddled |= any({pois[0] > 0.0 for pois in series} == {True, False}
+                         for _, series, _ in _series_runs(m, alphas))
+        cases = _line(m, d, [0, 1, m], alphas)
+        assert _line_mismatches(cases) == []
+        assert sum(ref is not None for *_, ref in cases) >= 20
+    assert straddled
+
+
+def test_line_longer_than_one_run():
+    alphas = [i * 0.005 for i in range(401)]  # |alpha| 0..2, series up to ~90 terms
+    assert len(list(_series_runs(10, alphas))) > 2
+    assert _line_mismatches(_line(10, 100, [0, 1, 5, 10], alphas)) == []
+
+
+@pytest.mark.parametrize("abs_alpha", [0.0, 1e-200, 0.37, 4.2, 8.45, 8.5, 19.0])
+@pytest.mark.parametrize("d", [1, 2, 5, 10 ** 12])
+def test_one_row_lines(abs_alpha, d):
+    m = 10
+    ws = [0, 3, 5, 10]
+    ref_ok = d <= 1000 and m * abs_alpha ** 2 <= UNDERFLOW_E
+    cases = _line(m, d, ws, [abs_alpha])
+    assert _line_mismatches(cases) == []
+    assert all((ref is not None) == ref_ok for *_, ref in cases)
