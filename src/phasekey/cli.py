@@ -7,6 +7,7 @@ failed, 3 a requested computation exceeds the dense-simulation capacity.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -102,6 +103,20 @@ def parse_finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def parse_seed(text: str) -> int:
+    """A seed for numpy's generator: an integer, at least 0.
+
+    A non-integer gets the message argparse gives for type=int.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative: {text!r}")
     return value
 
 
@@ -232,31 +247,31 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_OK if n_pass == len(results) else EXIT_INVARIANT
 
 
-def _builtin_circuit(name: str, m: int) -> CircuitDescription:
-    if name == "empty":
+def _resolve_circuit(spec: str, m: int) -> CircuitDescription:
+    """A builtin circuit by name, else one read from a JSON file.
+
+    The builtin names come first: a file named swap is read as ./swap.
+    """
+    if spec == "empty":
         return CircuitDescription(gates=())
-    if name == "kerr-cat":
+    if spec == "kerr-cat":
         if m != 1:
             raise _UsageError("the kerr-cat circuit acts on exactly one mode")
         return CircuitDescription(
             gates=(NonlinearPhaseSpec(terms={(2,): 1.0}, t=math.pi / 2),))
-    if name == "swap":
+    if spec == "swap":
         if m < 2:
             raise _UsageError("the swap circuit needs at least two modes")
         u = np.eye(m)
         u[[0, 1]] = u[[1, 0]]
         return CircuitDescription(gates=(Interferometer(u.astype(complex)),))
-    raise _UsageError(f"unknown circuit {name!r} and no such file")
-
-
-def _resolve_circuit(spec: str, m: int) -> CircuitDescription:
     path = Path(spec)
-    if path.is_file():
-        try:
-            return circuit_from_json(path.read_text())
-        except ValueError as exc:  # bad JSON too: JSONDecodeError is a ValueError
-            raise _UsageError(f"bad circuit file {spec}: {exc}") from None
-    return _builtin_circuit(spec, m)
+    if not path.is_file():
+        raise _UsageError(f"unknown circuit {spec!r} and no such file")
+    try:
+        return circuit_from_json(path.read_text())
+    except ValueError as exc:  # bad JSON too: JSONDecodeError is a ValueError
+        raise _UsageError(f"bad circuit file {spec}: {exc}") from None
 
 
 def _cat_fidelity(tr) -> float:
@@ -303,7 +318,13 @@ def _cmd_protocol_demo(args) -> int:
     return EXIT_OK if tr.correct else EXIT_INVARIANT
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """Return the parser for the four subcommands, built on the first call.
+
+    Later calls in the process return the same parser, so every default is
+    immutable: no parse can change what the next one sees.
+    """
     parser = _Parser(
         prog="phasekey",
         description="Coherent-state phase-key encryption: sweeps, checks, demos.")
@@ -319,11 +340,11 @@ def build_parser() -> _Parser:
                     "fixed total energy or at E = m^r.")
     sweep.add_argument("--quantity", required=True,
                        choices=["enc_distance", "unenc_distance", "ratio"])
-    sweep.add_argument("--m", type=parse_mode_list, default=[10],
+    sweep.add_argument("--m", type=parse_mode_list, default=(10,),
                        help="mode counts, e.g. 10 or 2-12 (default 10)")
     sweep.add_argument("--d", type=int, default=100,
                        help="key-space size (default 100)")
-    sweep.add_argument("--w", type=parse_int_list, default=[1],
+    sweep.add_argument("--w", type=parse_int_list, default=(1,),
                        help="flipped-bit counts, e.g. 1 or 1-10 (default 1)")
     sweep.add_argument("--alpha-min", type=parse_finite_float, default=0.0)
     sweep.add_argument("--alpha-max", type=parse_finite_float, default=2.0)
@@ -343,7 +364,7 @@ def build_parser() -> _Parser:
                     "fixed total energy or E = m^r; this is the "
                     "information-versus-m curve that stays flat in one rule "
                     "and grows in the other.")
-    mut.add_argument("--m", type=parse_mode_list, default=parse_int_list("2-20"),
+    mut.add_argument("--m", type=parse_mode_list, default=tuple(range(2, 21)),
                      help="mode counts (default 2-20)")
     mut.add_argument("--d", type=int, default=100,
                      help="key-space size (accepted for flag parity; the "
@@ -384,8 +405,9 @@ def build_parser() -> _Parser:
     demo.add_argument("--x", default=None,
                       help="plaintext bits, e.g. 0110 (default: seeded random)")
     demo.add_argument("--circuit", default="empty",
-                      help='builtin "empty", "kerr-cat", "swap", or a JSON file')
-    demo.add_argument("--seed", type=int, default=0,
+                      help='builtin "empty", "kerr-cat", "swap", or a JSON file; '
+                           'a builtin name wins, so give a file named swap as ./swap')
+    demo.add_argument("--seed", type=parse_seed, default=0,
                       help="seed for the key draw and any random bits")
     demo.add_argument("--out", default="-",
                       help="transcript path (default stdout)")
@@ -395,9 +417,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (sys.argv[1:] when argv is None); return its exit code.
+
+    Every call in a process parses with the one parser of build_parser.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,8 +265,10 @@ class TestExitCodes:
          "the swap circuit needs at least two modes"),
         (["security-sweep", "--quantity", "enc_distance", "--m", "10", "--w", "1-2000000"],
          "argument --w: more than 1000000 values in '1-2000000'"),
+        (["protocol-demo", "--seed", "-1"], "argument --seed: seed must be nonnegative: '-1'"),
+        (["protocol-demo", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
     ], ids=["empty-list-entry", "non-numeric-float", "bad-rule-exponent", "swap-one-mode",
-            "list-over-cap"])
+            "list-over-cap", "negative-seed", "non-integer-seed"])
     def test_bad_flag_value_is_usage(self, args, message, tmp_path, capsys):
         rc = run_cli(args + ["--out", str(tmp_path / "out")])
         assert rc == 1
@@ -280,6 +283,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_failed_check_is_two(self, monkeypatch, capsys):
+        cli.build_parser()  # the patch must reach a parser built before it
         monkeypatch.setattr(
             cli, "run_checks",
             lambda level: [CheckResult("stub", deviation=1.0, tolerance=1e-9)])
@@ -288,6 +292,7 @@ class TestExitCodes:
         assert "FAIL stub" in out
 
     def test_failed_correctness_is_two(self, monkeypatch, tmp_path, capsys):
+        cli.build_parser()  # the patch must reach a parser built before it
         real = cli.run_protocol
 
         def doctored(*a, **kw):
@@ -625,6 +630,15 @@ class TestProtocolDemo:
         assert rc == 1
         assert "bad circuit file" in capsys.readouterr().err
 
+    def test_builtin_name_wins_over_a_file_of_that_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "swap").write_text("not a circuit")
+        assert run_cli(["protocol-demo", "--m", "3", "--x", "101", "--circuit", "swap",
+                        "--out", "t.jsonl"]) == 0
+        assert "decoded y = 011" in capsys.readouterr().out
+        assert run_cli(["protocol-demo", "--m", "3", "--circuit", "./swap"]) == 1
+        assert "bad circuit file ./swap" in capsys.readouterr().err
+
     def test_well_formed_json_bad_circuit_is_usage(self, tmp_path, capsys):
         # one except ValueError catches this and, as JSONDecodeError, malformed JSON
         circuit = tmp_path / "bad.json"
@@ -633,6 +647,60 @@ class TestProtocolDemo:
         assert rc == 1
         assert "bad circuit file" in capsys.readouterr().err
         assert not hasattr(cli, "json")
+
+
+class TestSharedParser:
+    """main parses with one parser per process; no call may change the next."""
+
+    def test_three_calls_build_one_parser(self, tmp_path, capsys):
+        cli.build_parser.cache_clear()
+        assert run_cli(["mutinfo", "--m", "2", "--out", str(tmp_path / "mi.csv")]) == 0
+        assert run_cli(["protocol-demo", "--alpha", "abc"]) == 1
+        assert run_cli(["protocol-demo", "--out", str(tmp_path / "t.jsonl")]) == 0
+        capsys.readouterr()
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("argv", [["security-sweep", "--quantity", "ratio"], ["mutinfo"],
+                                      ["oracle-check"], ["protocol-demo"]])
+    def test_defaults_are_immutable(self, argv):
+        for dest, value in vars(cli.build_parser().parse_args(argv)).items():
+            assert not isinstance(value, (list, dict, set)), dest
+
+    def test_default_mutinfo_twice_gives_the_golden_bytes(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(["mutinfo", "--out", str(a)]) == 0
+        assert run_cli(["mutinfo", "--out", str(b)]) == 0
+        golden = Path(__file__).parent / "golden" / "mutinfo_fixed_E1.csv"
+        assert a.read_bytes() == b.read_bytes() == golden.read_bytes()
+
+    def test_demo_after_a_usage_error_matches_a_fresh_run(self, tmp_path, capsys):
+        argv = ["protocol-demo", "--m", "1", "--alpha", "1.5", "--x", "0",
+                "--circuit", "kerr-cat"]
+        assert run_cli(["protocol-demo", "--m", "2", "--alpha", "abc"]) == 1
+        capsys.readouterr()
+        assert run_cli(argv + ["--out", str(tmp_path / "here.jsonl")]) == 0
+        here = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "phasekey.cli", *argv, "--out", str(tmp_path / "fresh.jsonl")],
+            capture_output=True, text=True)
+        assert fresh.returncode == 0, fresh.stderr
+        assert here == fresh.stdout
+        assert (tmp_path / "here.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+    def test_help_exits_zero_twice(self, capsys):
+        assert run_cli(["--help"]) == 0
+        first = capsys.readouterr().out
+        assert run_cli(["--help"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_patched_cap_reaches_a_built_parser(self, monkeypatch, capsys):
+        # the parser holds parse_int_list, which reads ALPHA_GRID_CAP per call
+        cli.build_parser()
+        monkeypatch.setattr(cli, "ALPHA_GRID_CAP", 5)
+        assert run_cli(["security-sweep", "--quantity", "ratio", "--m", "10",
+                        "--w", "1-9"]) == 1
+        assert "argument --w: more than 5 values in '1-9'" in capsys.readouterr().err
 
 
 class TestSubprocessSurface:
@@ -661,6 +729,13 @@ class TestSubprocessSurface:
         assert proc.stdout.splitlines()[-1] == "0 []"
         returned = json.loads(out.read_text().splitlines()[4])["body"]
         assert returned["repr"] == "fock"
+
+    def test_import_builds_no_parser(self):
+        code = ("from phasekey import cli\n"
+                "print(cli.build_parser.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
     def test_module_usage_error_exits_one(self):
         proc = subprocess.run(
