@@ -38,10 +38,6 @@ EXIT_CAPACITY = 3
 ALPHA_GRID_CAP = 10 ** 6
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; all usage problems here are 1
     def error(self, message):
@@ -136,27 +132,27 @@ def parse_energy_rule(text: str, E: float):
         try:
             r = float(text[2:])
         except ValueError:
-            raise _UsageError(f"bad exponent in --energy-rule {text!r}") from None
+            raise ValueError(f"bad exponent in --energy-rule {text!r}") from None
         if not math.isfinite(r):
-            raise _UsageError(f"--energy-rule {text!r} needs a finite exponent")
+            raise ValueError(f"--energy-rule {text!r} needs a finite exponent")
 
         def rule(m):
             try:
                 return float(m) ** r
             except OverflowError:
-                raise _UsageError(f"--energy-rule {text!r} overflows at m = {m}") from None
+                raise ValueError(f"--energy-rule {text!r} overflows at m = {m}") from None
         return rule
-    raise _UsageError(f"unknown --energy-rule {text!r} (expected \"fixed\" or \"m^R\")")
+    raise ValueError(f"unknown --energy-rule {text!r} (expected \"fixed\" or \"m^R\")")
 
 
 def alpha_grid(lo: float, hi: float, step: float) -> list:
     if step <= 0:
-        raise _UsageError("--alpha-step must be positive")
+        raise ValueError("--alpha-step must be positive")
     if hi < lo:
-        raise _UsageError("--alpha-max must not be below --alpha-min")
+        raise ValueError("--alpha-max must not be below --alpha-min")
     span = (hi - lo) / step + 1e-9
     if not span < ALPHA_GRID_CAP:
-        raise _UsageError(f"--alpha-step gives more than {ALPHA_GRID_CAP} alpha points")
+        raise ValueError(f"--alpha-step gives more than {ALPHA_GRID_CAP} alpha points")
     count = int(math.floor(span)) + 1
     return [lo + i * step for i in range(count)]
 
@@ -181,36 +177,30 @@ def _sweep_value(quantity: str, w: int, alpha: float, enc: float) -> str:
 def _add_sweep_rows(rows: list, quantity: str, m: int, d: int, ws: list, alphas: list) -> None:
     """Append the CSV rows of one m to rows: w by w, each over alphas.
 
-    The encrypted distances come from one _line_distances pass, run by
-    run, and each run's rows are written into their place.  An invalid
-    |alpha| raises its ValueError where the first line reaches it, after
-    any capacity error of that line's earlier rows.
+    The encrypted distances are the lines of one _line_distances call.  An
+    invalid |alpha| raises its ValueError where the first line reaches it,
+    after any capacity error of that line's earlier rows.
     """
     for count, alpha in enumerate(alphas):
         try:
             SecurityParams(m=m, d=d, abs_alpha=alpha, w=ws[0])
         except ValueError:
             if quantity != "unenc_distance":
-                list(_line_distances(m, d, ws[:1], alphas[:count]))
+                _line_distances(m, d, ws[:1], alphas[:count])
             raise
-    runs = (_line_distances(m, d, ws, alphas) if quantity != "unenc_distance"
-            else [(alphas, [[None] * len(alphas)] * len(ws))])
-    at = len(rows)
-    rows += [None] * (len(ws) * len(alphas))
-    for run, values in runs:
-        heads = [f"{quantity},{m},{d},{wire_float(alpha)},"
-                 f"{wire_float(mean_photon_number(alpha, m))}," for alpha in run]
-        for i, (w, encs) in enumerate(zip(ws, values)):
-            start = at + i * len(alphas)
-            rows[start:start + len(run)] = [f"{head}{w},{_sweep_value(quantity, w, alpha, enc)}"
-                                            for head, alpha, enc in zip(heads, run, encs)]
-        at += len(run)
+    lines = (map(np.ndarray.tolist, _line_distances(m, d, ws, alphas))
+             if quantity != "unenc_distance" else [[None] * len(alphas)] * len(ws))
+    heads = [f"{quantity},{m},{d},{wire_float(alpha)},"
+             f"{wire_float(mean_photon_number(alpha, m))}," for alpha in alphas]
+    for w, encs in zip(ws, lines):
+        rows += [f"{head}{w},{_sweep_value(quantity, w, alpha, enc)}"
+                 for head, alpha, enc in zip(heads, alphas, encs)]
 
 
 def _cmd_security_sweep(args) -> int:
     ms, ws = args.m, args.w
     if max(ws) > min(ms):
-        raise _UsageError("every --w value must be <= every --m value")
+        raise ValueError("every --w value must be <= every --m value")
     rule = parse_energy_rule(args.energy_rule, args.E) if args.energy_rule else None
     rows = ["quantity,m,d,abs_alpha,E,w,value"]
     for m in ms:
@@ -224,6 +214,8 @@ def _cmd_security_sweep(args) -> int:
 
 
 def _cmd_mutinfo(args) -> int:
+    if args.d < 1:  # the measurement ignores d, but the flag keeps security-sweep's range
+        raise ValueError("d must be at least 1")
     rule = parse_energy_rule(args.energy_rule, args.E)
     rows = ["m,E,abs_alpha,i_total"]
     for m in args.m:
@@ -256,22 +248,22 @@ def _resolve_circuit(spec: str, m: int) -> CircuitDescription:
         return CircuitDescription(gates=())
     if spec == "kerr-cat":
         if m != 1:
-            raise _UsageError("the kerr-cat circuit acts on exactly one mode")
+            raise ValueError("the kerr-cat circuit acts on exactly one mode")
         return CircuitDescription(
             gates=(NonlinearPhaseSpec(terms={(2,): 1.0}, t=math.pi / 2),))
     if spec == "swap":
         if m < 2:
-            raise _UsageError("the swap circuit needs at least two modes")
+            raise ValueError("the swap circuit needs at least two modes")
         u = np.eye(m)
         u[[0, 1]] = u[[1, 0]]
         return CircuitDescription(gates=(Interferometer(u.astype(complex)),))
     path = Path(spec)
     if not path.is_file():
-        raise _UsageError(f"unknown circuit {spec!r} and no such file")
+        raise ValueError(f"unknown circuit {spec!r} and no such file")
     try:
         return circuit_from_json(path.read_text())
     except ValueError as exc:  # bad JSON too: JSONDecodeError is a ValueError
-        raise _UsageError(f"bad circuit file {spec}: {exc}") from None
+        raise ValueError(f"bad circuit file {spec}: {exc}") from None
 
 
 def _cat_fidelity(tr) -> float:
@@ -288,9 +280,9 @@ def _cmd_protocol_demo(args) -> int:
         try:
             x = BitString.from_text(args.x)
         except ValueError as exc:
-            raise _UsageError(f"bad --x: {exc}") from None
+            raise ValueError(f"bad --x: {exc}") from None
         if len(x) != args.m:
-            raise _UsageError(f"--x has {len(x)} bits but --m is {args.m}")
+            raise ValueError(f"--x has {len(x)} bits but --m is {args.m}")
     else:
         rng = np.random.default_rng(args.seed)
         x = BitString(tuple(int(b) for b in rng.integers(0, 2, size=args.m)))
@@ -427,7 +419,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"phasekey: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

@@ -27,7 +27,9 @@ _LN_MIN_NORMAL = math.log(sys.float_info.min)
 _TOO_LONG = "cutoff for tail {:g} at energy {:g} exceeds the cap {}"
 
 # Most series poisson_terms keeps: above the 101 energies of a golden sweep's
-# alpha grid, so a sweep over several w finds each energy still held.
+# alpha grid, so the enc_distance and ratio goldens, which share that grid,
+# find each energy still held, and a sweep row's limit reuses the series of
+# its distance.
 _SERIES_CACHE_SIZE = 256
 
 # Most that dropping the off-sector part of an operator may move half its
@@ -67,6 +69,16 @@ def _poisson_start(E: float, root: int = 1):
     return t, term(t)
 
 
+def series_steps(x, c, n: int) -> list:
+    """[x, x c / 1, x c^2 / 2!, ...]: n terms, each x * c / t from the last, on floats or arrays.
+
+    The steps run left to right from x = e^{-E}; the goldens pin their bits
+    in the Poisson terms (c = E) and in the signed class sums (c = (m - 2w)
+    |alpha|^2).
+    """
+    return [x] + [x := x * c / t for t in range(1, n)]
+
+
 def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     """Number-basis coefficients b_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 
@@ -100,7 +112,7 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
     terms follow p_t = p_{t-1} E / t from the first normal one, over one
     window that a Poisson tail bound sizes from E and eps, and are cut at
     the first t > E whose term is below eps * 1e-6: up to E ~ 708.4 the
-    scalar steps x E / t from e^{-E}, whose bits the goldens pin, and past
+    scalar steps x E / t from e^{-E} (series_steps), and past
     it one np.cumprod (same cutoff, terms within 1e-12 relative) whose
     terms below the start are 0 and whose kept ones are divided by their
     sum, which rounding in the log-form start would lift above 1.  Raises
@@ -134,8 +146,8 @@ def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     start, x = _poisson_start(E)
     if start:
         terms = np.cumprod(np.concatenate(([x], E / np.arange(start + 1, end + 1))))
-    else:  # the goldens pin these bits: x E / s, left to right, from e^{-E}
-        terms = [x] + [x := x * E / s for s in range(1, end + 1)]
+    else:
+        terms = series_steps(x, E, end + 1)
     # One cut, the first t > E whose term is below eps * 1e-6.  Past floor(E) + 1
     # each step multiplies by E / t < 1 (fl(x E) < x t; fl(E / t) <= 1) and rounding
     # is monotone, so the tail does not rise and a bisection finds the cut; with

@@ -12,16 +12,17 @@ The central objects are the trace distances an adversary can exploit:
 Closed forms evaluate in O(E) time at any d via total-photon-number residue
 sums.  They take the Poisson(E) terms from fock.poisson_terms, the same
 terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
-add them in index order (np.bincount, np.cumsum); that fixed order is what
+add them in index order from 0.0 (np.bincount); that fixed order is what
 keeps the sweep CSVs byte-identical.  Past E ~ 708.4, where e^{-E} is no
 longer a normal double, the terms start at the first normal one, so the
 closed forms hold at every energy the cutoff cap admits.  The series, the
 class sums and the encrypted distance are memoized per process in bounded
 caches, so a parameter set builds each of them once.  A sweep line, one
-(m, d) over a run of |alpha| and several w, is one array pass per run of
-at most _LINE_ENTRIES series terms (_line_distances), and a single call
-is the same code on one row: each row runs the same IEEE operations in
-the same order as it would alone, so every row keeps its bits.
+(m, d) over an |alpha| grid and several w, comes whole from
+_line_distances, one float64 array per w, built in array passes of at
+most _LINE_ENTRIES series terms; a single call is the same code on one
+row: each row runs the same IEEE operations in the same order as it
+would alone, so every row keeps its bits.
 Every closed form has a brute-force companion (the dense channel average of
 encoding with fock.trace_distance_numeric; here, the support-basis oracle,
 tuple enumeration and the numeric pretty-good measurement) so the formulas
@@ -43,6 +44,7 @@ from .fock import (
     mean_photon_number,
     occupation_array,
     poisson_terms,
+    series_steps,
     total_photon_numbers,
 )
 
@@ -140,11 +142,6 @@ def _series_runs(m: int, abs_alphas):
         yield run, series, width
 
 
-def _steps(x, c, n: int) -> list:
-    """[x, x c / 1, x c^2 / 2!, ...]: n terms, each step x * c / t, on floats or arrays."""
-    return [x] + [x := x * c / t for t in range(1, n)]
-
-
 def _powers(r: float, n: int) -> np.ndarray:
     """r^t for t = 0..n-1 as one np.cumprod of r."""
     return np.cumprod(np.concatenate(([1.0], np.full(n - 1, r))))
@@ -153,8 +150,8 @@ def _powers(r: float, n: int) -> np.ndarray:
 def _signed_terms(m: int, w: int, alphas, series, terms: np.ndarray):
     """The signed series e^{-E} c^t / t!, c = (m - 2w)|alpha|^2, of each row, flat as terms.
 
-    While poisson_terms starts at t = 0 (E up to ~708.4) these are _steps
-    from e^{-E}, the scalar steps whose bits the goldens pin: on floats for
+    While poisson_terms starts at t = 0 (E up to ~708.4) these are
+    series_steps from e^{-E}, as poisson_terms' own terms are: on floats for
     a lone series (1-D terms), elementwise over the columns of a run, 0
     past each column's series.  Past it, they are p_t r^t with r =
     (m - 2w)/m and r^t from _powers, which keeps A = +-1 exact at w = 0
@@ -162,14 +159,15 @@ def _signed_terms(m: int, w: int, alphas, series, terms: np.ndarray):
     """
     if terms.ndim == 1:
         if terms[0] > 0.0:
-            return _steps(float(terms[0]), (m - 2 * w) * alphas[0] ** 2, len(terms))
+            return series_steps(float(terms[0]), (m - 2 * w) * alphas[0] ** 2, len(terms))
         return terms * _powers((m - 2 * w) / m, len(terms))
     signed = terms * _powers((m - 2 * w) / m, len(terms))[:, None]
     lens = [len(pois) if pois[0] > 0.0 else 0 for pois in series]
     n = max(lens)
     if n:
         c = np.array([(m - 2 * w) * abs_alpha ** 2 for abs_alpha in alphas])
-        signed[:n] = np.where(np.arange(n)[:, None] < lens, _steps(terms[0], c, n), signed[:n])
+        steps = series_steps(terms[0], c, n)
+        signed[:n] = np.where(np.arange(n)[:, None] < lens, steps, signed[:n])
     return signed.ravel()
 
 
@@ -205,28 +203,27 @@ def _block_distances(q: np.ndarray, s: np.ndarray, owners: np.ndarray, rows: int
     return np.bincount(owners[present], q * np.sqrt(np.maximum(0.0, 1.0 - a * a)), rows)
 
 
-def _line_distances(m: int, d: int, ws, abs_alphas):
-    """Yield (alphas, [distances at w for w in ws]) for consecutive runs of abs_alphas.
+def _line_distances(m: int, d: int, ws, abs_alphas) -> np.ndarray:
+    """Row i is the line of ws[i]: its distance at each of abs_alphas, float64.
 
     The distances are encrypted_trace_distance at (m, d, w, |alpha|), bit
     for bit: each run of _series_runs is one _class_sum_run, whose series
     and q every w shares.  Equal codewords (w = 0) are at 0.0 with no
     series, so lines of only those build none.
     """
+    lines = np.zeros((len(ws), len(abs_alphas)))
     if not any(ws):
-        yield abs_alphas, [[0.0] * len(abs_alphas) for _ in ws]
-        return
+        return lines
+    at = 0
     for alphas, series, width in _series_runs(m, abs_alphas):
         terms, index, q = _class_sum_run(d, series, width)
         owners = np.arange(len(q)) % len(series)
-        lines = []
-        for w in ws:
+        for w, line in zip(ws, lines):
             if w:
                 s = np.bincount(index, _signed_terms(m, w, alphas, series, terms))
-                lines.append(_block_distances(q, s, owners, len(series)).tolist())
-            else:
-                lines.append([0.0] * len(alphas))
-        yield alphas, lines
+                line[at:at + len(alphas)] = _block_distances(q, s, owners, len(alphas))
+        at += len(alphas)
+    return lines
 
 
 @functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
@@ -311,13 +308,10 @@ def encrypted_trace_distance_limit(params: SecurityParams) -> float:
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
     r2 = ((params.m - 2 * params.w) / params.m) ** 2
     r2k = np.cumprod(np.full(len(pois) - 1, r2))  # k = 1..t_max
-    return _sum_in_order(pois[1:] * np.sqrt(np.maximum(0.0, 1.0 - r2k)))
-
-
-def _sum_in_order(terms: np.ndarray) -> float:
-    # Left to right, unlike the pairwise np.sum or the compensated builtin
-    # sum of Python >= 3.12, so the output bytes never depend on either.
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+    # left to right from 0.0, never np.sum's pairwise or Python >= 3.12's
+    # compensated order, so the output bytes depend on neither
+    return float(np.bincount(np.zeros(len(r2k), dtype=np.intp),
+                             pois[1:] * np.sqrt(np.maximum(0.0, 1.0 - r2k)), 1)[0])
 
 
 def unencrypted_trace_distance(w: int, abs_alpha: float) -> float:

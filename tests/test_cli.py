@@ -61,7 +61,7 @@ class TestArgumentParsing:
         assert rule(8) == pytest.approx(8 ** 0.3)
 
     def test_energy_rule_rejects_unknown(self):
-        with pytest.raises(cli._UsageError):
+        with pytest.raises(ValueError, match="unknown --energy-rule 'log'"):
             cli.parse_energy_rule("log", 2.5)
 
     def test_alpha_grid_endpoint_inclusive(self):
@@ -71,9 +71,9 @@ class TestArgumentParsing:
         assert grid[-1] == pytest.approx(2.0, abs=1e-12)
 
     def test_alpha_grid_rejects_bad_step(self):
-        with pytest.raises(cli._UsageError):
+        with pytest.raises(ValueError, match="--alpha-step must be positive"):
             cli.alpha_grid(0.0, 1.0, 0.0)
-        with pytest.raises(cli._UsageError):
+        with pytest.raises(ValueError, match="--alpha-max must not be below --alpha-min"):
             cli.alpha_grid(1.0, 0.0, 0.1)
 
 
@@ -267,8 +267,11 @@ class TestExitCodes:
          "argument --w: more than 1000000 values in '1-2000000'"),
         (["protocol-demo", "--seed", "-1"], "argument --seed: seed must be nonnegative: '-1'"),
         (["protocol-demo", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["mutinfo", "--d", "0"], "phasekey: error: d must be at least 1"),
+        (["mutinfo", "--d", "-5"], "phasekey: error: d must be at least 1"),
     ], ids=["empty-list-entry", "non-numeric-float", "bad-rule-exponent", "swap-one-mode",
-            "list-over-cap", "negative-seed", "non-integer-seed"])
+            "list-over-cap", "negative-seed", "non-integer-seed", "mutinfo-zero-d",
+            "mutinfo-negative-d"])
     def test_bad_flag_value_is_usage(self, args, message, tmp_path, capsys):
         rc = run_cli(args + ["--out", str(tmp_path / "out")])
         assert rc == 1

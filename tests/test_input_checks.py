@@ -15,7 +15,12 @@ from phasekey.encoding import (
 )
 from phasekey.evaluation import NonlinearPhaseSpec, haar_random_unitary, nonlinear_phase_evolve
 from phasekey.fock import coherent_fock, distance_cutoff
-from phasekey.protocol import CircuitDescription, circuit_from_json, wire_float
+from phasekey.protocol import (
+    CircuitDescription,
+    ciphertext_from_json,
+    circuit_from_json,
+    wire_float,
+)
 from phasekey.security import SecurityParams, unencrypted_trace_distance
 
 
@@ -53,6 +58,13 @@ CASES = {
                           "circuit gate 0: matrix must be a list of rows"),
     "empty-terms": (lambda: _circuit({"kind": "nonlinear", "terms": []}),
                     "circuit gate 0: terms must be a nonempty list"),
+    "term-without-g": (lambda: _circuit({"kind": "nonlinear", "terms": [{"exps": [2]}]}),
+                       'circuit gate 0: each term needs "exps" and "g"'),
+    "gates-not-a-list": (lambda: circuit_from_json('{"type": "circuit", "gates": {}}'),
+                         "circuit gates must be a list"),
+    "payload-not-a-list": (lambda: ciphertext_from_json(
+        '{"type": "ciphertext", "repr": "amplitude", "m": 1, "payload": "[[1, 0]]"}'),
+        "ciphertext payload must be a list of [re, im] pairs"),
     "negative-alpha": (lambda: SecurityParams(m=1, d=2, abs_alpha=-0.5, w=0),
                        "|alpha| must be nonnegative"),
     "negative-w": (lambda: unencrypted_trace_distance(-1, 0.5), "w must be nonnegative"),

@@ -628,7 +628,7 @@ def test_eps_just_above_the_floor_keeps_the_reference_bits():
 
 
 # --- sweep lines ---------------------------------------------------------------------------
-# security._line_distances evaluates a line, one (m, d) over a run of |alpha| and
+# security._line_distances evaluates a line, one (m, d) over an |alpha| grid and
 # several w, with the series of each run of _series_runs zero-padded side by side.
 # Every value must equal the one-row encrypted_trace_distance (==), and ref_distance
 # wherever the loop applies: d up to 1000 and e^{-E} a normal double.
@@ -636,10 +636,7 @@ def test_eps_just_above_the_floor_keeps_the_reference_bits():
 def _line(m, d, ws, alphas):
     """(params, got, one_row, reference) per (w, |alpha|) of a line; reference None where the
     loop does not apply."""
-    got = [[] for _ in ws]
-    for _, values in _line_distances(m, d, ws, alphas):
-        for line, part in zip(got, values):
-            line += part
+    got = _line_distances(m, d, ws, alphas)
     cases = []
     for w, line in zip(ws, got):
         assert len(line) == len(alphas)
