@@ -15,10 +15,10 @@ terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
 add them in index order from 0.0 (np.bincount); that fixed order is what
 keeps the sweep CSVs byte-identical.  Past E ~ 708.4, where e^{-E} is no
 longer a normal double, the terms start at the first normal one, so the
-closed forms hold at every energy the cutoff cap admits.  The series, the
-class sums and the encrypted distance are memoized per process in bounded
-caches, so a parameter set builds each of them once.  A sweep line, one
-(m, d) over an |alpha| grid and several w, comes whole from
+closed forms hold at every energy the cutoff cap admits.  The series, and
+one record per parameter set of its class sums and encrypted distance, are
+memoized per process in bounded caches, so each is built once.  A sweep
+line, one (m, d) over an |alpha| grid and several w, comes whole from
 _line_distances, one float64 array per w, built in array passes of at
 most _LINE_ENTRIES series terms; a single call is the same code on one
 row: each row runs the same IEEE operations in the same order as it
@@ -55,8 +55,7 @@ SERIES_TAIL_EPS = 1e-14
 # Relative eigenvalue threshold for the pseudoinverse square root.
 PGM_PINV_CUT = 1e-12
 
-# Most parameter sets whose class sums _class_sums keeps, and whose
-# distance encrypted_trace_distance keeps.
+# Most parameter sets whose class sums and distance _class_sums keeps.
 _CLASS_SUMS_CACHE_SIZE = 64
 
 # Most entries, series terms times |alpha| rows, that one array of a sweep
@@ -228,9 +227,10 @@ def _line_distances(m: int, d: int, ws, abs_alphas) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
 def _class_sums(params: SecurityParams):
-    """Residue-class sums (q_k, signed_k) for k = 0..min(d, n + 1) - 1, read-only.
+    """(q, s, D): class sums q_k, signed_k (read-only) and D = sum_k q_k sqrt(1 - A_k^2).
 
-    The series has n + 1 terms, so no class past them is ever nonempty.
+    k < min(d, n + 1): the series has n + 1 terms, so no class past them is
+    ever nonempty.  One entry serves the distance and every k's (q_k, A_k).
 
     Grouping the occupation tuples of a class by their total photon number
     t turns both the weight and the signed overlap sum into single Poisson
@@ -243,7 +243,7 @@ def _class_sums(params: SecurityParams):
     q = np.bincount(residues, pois)
     s = np.bincount(residues, _signed_terms(params.m, params.w, (params.abs_alpha,), (pois,), pois))
     q.flags.writeable = s.flags.writeable = False
-    return q, s
+    return q, s, float(_block_distances(q, s, np.zeros(len(q), dtype=np.intp), 1)[0])
 
 
 def qk_ak_finite(params: SecurityParams, k: int):
@@ -255,7 +255,7 @@ def qk_ak_finite(params: SecurityParams, k: int):
     """
     if not 0 <= k < params.d:
         raise ValueError("k must satisfy 0 <= k < d")
-    q, s = _class_sums(params)
+    q, s, _ = _class_sums(params)
     if k >= len(q) or q[k] < EMPTY_BLOCK_FLOOR:
         return 0.0, 1.0
     return float(q[k]), float(min(1.0, max(-1.0, s[k] / q[k])))
@@ -283,7 +283,6 @@ def qk_ak_enumeration(params: SecurityParams, n_max: int):
     return q, a
 
 
-@functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
 def encrypted_trace_distance(params: SecurityParams) -> float:
     """Trace distance between key-averaged codewords differing in w bits.
 
@@ -291,10 +290,7 @@ def encrypted_trace_distance(params: SecurityParams) -> float:
     Equal codewords (w = 0) are at distance 0.0 at any energy, with no
     series, so no cutoff cap applies to them.
     """
-    if params.w == 0:
-        return 0.0
-    q, s = _class_sums(params)
-    return float(_block_distances(q, s, np.zeros(len(q), dtype=np.intp), 1)[0])
+    return _class_sums(params)[2] if params.w else 0.0
 
 
 def encrypted_trace_distance_limit(params: SecurityParams) -> float:
@@ -402,21 +398,30 @@ def pgm_closed_form(abs_alpha: float, modes: int = 1) -> PgmResult:
     a_pm = (1 pm e^{-2|alpha|^2})/2 are the eigenvalues of the equal
     mixture; the PGM identifies the state with probability
     (sqrt(a_+) + sqrt(a_-))^2 / 2, and the per-mode information is
-    u^2 log2 u + v^2 log2 v with u, v = sqrt(a_+) pm sqrt(a_-).  The
-    probability is capped at 1 and the information at the one bit a mode
-    carries.
+    u^2 log2 u + v^2 log2 v with u, v = sqrt(a_+) pm sqrt(a_-).  Below
+    |alpha|^2 = 0.01 that sum cancels (it reads 0 at |alpha| = 1e-10), so
+    there the information is its equal (s atanh(s) + log1p(-s^2) / 2) / ln 2,
+    s = sqrt(1 - e^{-4|alpha|^2}), which is ~2|alpha|^2 / ln 2 with every
+    digit; that form loses digits as s nears 1.  The probability is capped
+    at 1 and the information at the one bit a mode carries.
     """
     if math.isnan(abs_alpha):
         raise ValueError("|alpha| must be a number, got nan")
-    B = math.exp(-2.0 * mean_photon_number(abs_alpha, 1))
+    a2 = mean_photon_number(abs_alpha, 1)
+    B = math.exp(-2.0 * a2)
     a_plus = 0.5 * (1.0 + B)
     a_minus = 0.5 * (1.0 - B)
     u = math.sqrt(a_plus) + math.sqrt(a_minus)
     v = math.sqrt(a_plus) - math.sqrt(a_minus)
     p_diff = 0.5 * v * v
-    i_single = u * u * math.log2(u)
-    if v > 0.0:
-        i_single += v * v * math.log2(v)
+    if a2 < 0.01:
+        s2 = -math.expm1(-4.0 * a2)
+        s = math.sqrt(s2)
+        i_single = (s * math.atanh(s) + 0.5 * math.log1p(-s2)) / math.log(2.0)
+    else:
+        i_single = u * u * math.log2(u)
+        if v > 0.0:
+            i_single += v * v * math.log2(v)
     # rounding lifts p_same to 1 + 2e-16 and the sum to 1 + 4e-16 once the
     # states are orthogonal to double precision (|alpha| >~ 4.5)
     p_same = min(0.5 * u * u, 1.0)

@@ -1,10 +1,12 @@
 """Tests for the closed-form security quantities and their oracles."""
 
+import decimal
 import math
 
 import numpy as np
 import pytest
 
+from phasekey import security
 from phasekey.encoding import BitString, encryption_channel_density
 from phasekey.fock import (CapacityError, distance_cutoff, poisson_terms, trace_distance_numeric,
                            truncation_bound)
@@ -375,12 +377,34 @@ class TestPgm:
         assert numeric.p_diff == pytest.approx(0.5, abs=1e-12)
         assert numeric.i_single == pytest.approx(0.0, abs=1e-12)
 
+    def test_numeric_oracle_refuses_a_rank_defect(self, monkeypatch):
+        # with no cut the mixture's noise eigenvalues (~1e-17) are inverted
+        # too, so the elements no longer resolve the support projector
+        monkeypatch.setattr(security, "PGM_PINV_CUT", 0.0)
+        with pytest.raises(ValueError, match="^PGM elements miss the support projector by"):
+            pgm_numeric_oracle(0.5, 10)
+
     def test_small_amplitude_expansion(self):
         alpha = 0.05
         got = pgm_closed_form(alpha).i_single
         leading = 2 * alpha ** 2 / math.log(2)
         assert got / leading == pytest.approx(0.9966733246110953, abs=1e-12)
         assert 0.99 <= got / leading <= 1.01
+
+    @pytest.mark.parametrize("alpha", [1e-150, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.05, 0.0999])
+    def test_small_amplitude_information_equals_a_decimal_reference(self, alpha):
+        # u^2 log2 u + v^2 log2 v is ~2|alpha|^2 / ln 2 from terms of size
+        # |alpha|: evaluated with 60 digits to spare past that cancellation
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60 + 2 * round(abs(math.log10(alpha)))
+            B = (-2 * decimal.Decimal(alpha) ** 2).exp()
+            root_plus, root_minus = ((1 + B) / 2).sqrt(), ((1 - B) / 2).sqrt()
+            u, v = root_plus + root_minus, root_plus - root_minus
+            want = (u * u * u.ln() + v * v * v.ln()) / decimal.Decimal(2).ln()
+            res = pgm_closed_form(alpha, modes=2)
+            assert res.i_total > 0.0
+            assert abs(decimal.Decimal(res.i_single) / want - 1) <= decimal.Decimal("1e-14")
+            assert abs(decimal.Decimal(res.i_total) / (2 * want) - 1) <= decimal.Decimal("1e-14")
 
     def test_near_orthogonal_amplitude(self):
         assert pgm_closed_form(3.0).i_single >= 0.999

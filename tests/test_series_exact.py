@@ -221,7 +221,7 @@ def test_memoized_arrays_are_read_only():
     terms = poisson_terms(3.0, SERIES_TAIL_EPS)
     with pytest.raises(ValueError, match="read-only"):
         terms[0] = 0.5
-    for sums in _class_sums(SecurityParams(m=3, d=4, abs_alpha=1.0, w=1)):
+    for sums in _class_sums(SecurityParams(m=3, d=4, abs_alpha=1.0, w=1))[:2]:
         with pytest.raises(ValueError, match="read-only"):
             sums[0] = 0.5
 
@@ -247,7 +247,7 @@ def test_class_sums_are_keyed_by_every_parameter():
                 SecurityParams(m=4, d=5, abs_alpha=0.5, w=1)]
     assert {p.E for p in variants} == {1.0}
     for p in variants + variants:
-        got, want = _class_sums(p), ref_class_sums(p)
+        got, want = _class_sums(p)[:2], ref_class_sums(p)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want], p
 
 
@@ -367,7 +367,7 @@ def test_large_energy_class_sums_equal_the_power_form():
         q_want = np.bincount(residues, pois, minlength=p.d)
         s_want = np.bincount(residues, signed, minlength=p.d)
         scale = np.bincount(residues, np.abs(signed), minlength=p.d)
-        q, s = _class_sums(p)
+        q, s, _ = _class_sums(p)
         if 2 * p.w in (0, p.m, 2 * p.m):  # r = 1, 0 or -1: every r^t is exact
             ok = q.tobytes() == q_want.tobytes() and s.tobytes() == s_want.tobytes()
         else:
@@ -534,11 +534,11 @@ def test_memoized_distance_equals_the_reference_on_every_call():
     p = SecurityParams(m=7, d=11, abs_alpha=math.sqrt(321.5 / 7), w=3)
     want = ref_distance(p)
     first = encrypted_trace_distance(p)
-    hits = security.encrypted_trace_distance.cache_info().hits
+    hits = security._class_sums.cache_info().hits
     assert first == want
     assert encrypted_trace_distance(p) == want
     assert encrypted_trace_distance(SecurityParams(m=7, d=11, abs_alpha=p.abs_alpha, w=3)) == want
-    assert security.encrypted_trace_distance.cache_info().hits == hits + 2
+    assert security._class_sums.cache_info().hits == hits + 2
 
 
 def test_memoized_distance_is_keyed_by_every_parameter():
@@ -553,6 +553,23 @@ def test_memoized_distance_is_keyed_by_every_parameter():
     assert len(set(wants)) == len(wants)
     for _ in range(2):
         assert [encrypted_trace_distance(p) for p in variants] == wants
+
+
+def test_one_memo_serves_the_distance_the_ratio_and_every_class():
+    # the distance rides in the class-sum record: one miss builds it, and the
+    # ratio and every k's (q_k, A_k) read it back
+    from phasekey import security
+
+    p = SecurityParams(m=6, d=9, abs_alpha=0.8, w=2)
+    security._class_sums.cache_clear()
+    distance = encrypted_trace_distance(p)
+    assert security.suppression_ratio(p).encrypted == distance
+    for k in range(p.d):
+        qk_ak_finite(p, k)
+    info = security._class_sums.cache_info()
+    assert (info.misses, info.hits) == (1, p.d + 1)
+    assert distance == ref_distance(p)
+    assert not hasattr(encrypted_trace_distance, "cache_info")
 
 
 # --- one window and one cut -------------------------------------------------------------
