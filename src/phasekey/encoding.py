@@ -10,6 +10,7 @@ number mod d; this module builds both the averaged state and its blocks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,14 @@ DENSE_CHANNEL_CAP = 4096
 
 # Blocks whose weight underflows below this are reported absent.
 EMPTY_BLOCK_FLOOR = 1e-300
+
+
+def as_int(name: str, value) -> int:
+    """value as a Python int; a ValueError naming it where operator.index refuses it (2.5, "3")."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,8 @@ class PhaseKey:
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", as_int("key space size d", self.d))
+        object.__setattr__(self, "k", as_int("key k", self.k))
         if self.d < 1:
             raise ValueError("key space size d must be at least 1")
         if not 0 <= self.k < self.d:
@@ -137,9 +148,12 @@ def encode(x: BitString, alpha: complex) -> AmplitudeVector:
 
 
 def keygen(d: int, seed) -> PhaseKey:
-    """Uniformly random key, deterministic for a given seed."""
+    """Uniformly random key, deterministic for a given seed; d at most 2^63, as numpy draws."""
+    d = as_int("key space size d", d)
     if d < 1:
         raise ValueError("key space size d must be at least 1")
+    if d > 2 ** 63:
+        raise ValueError(f"key space size d must be at most 2^63 to draw a key, got {d}")
     rng = np.random.default_rng(seed)
     return PhaseKey(k=int(rng.integers(d)), d=d)
 

@@ -6,9 +6,9 @@ n_max, ordered by total, then lexicographically with z_1 most significant,
 so sector n (total n) is one slice and one mode is 0..n_max.  Only this
 module knows that layout: occupation_array and total_photon_numbers read
 one cached index per grid, grid_size and block_entries size it without a
-huge binomial, sector_tables gives its fixed-total blocks and
-mode_overlap_norms its per-mode contractions; mean_photon_number (inf past
-a double) and distance_cutoff give its cutoff.
+huge binomial, one cached builder gives sector_tables its fixed-total
+blocks and mode_overlap_norms its per-mode contractions; mean_photon_number
+(inf past a double) and distance_cutoff give its cutoff.
 """
 
 from __future__ import annotations
@@ -270,6 +270,22 @@ def block_entries(n_max: int, modes: int, cap: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
+def _tables(n_max: int, modes: int):
+    """sector_tables' arrays, then slots: amplitude i at flat slot slots[j, i] of mode j's matrix.
+
+    That matrix holds z at row (index of z without z_j on the grid of the
+    other modes), column z_j.  All read-only, built once per grid.
+    """
+    occ, totals, starts, binomials = _grid(n_max, modes)
+    down = np.stack([_rank(occ - e, binomials) for e in np.eye(modes, dtype=np.int64)], axis=1)
+    slots = np.stack([(binomials[modes - 1, totals - occ[:, j]] + _rank(np.delete(occ, j, axis=1),
+                       binomials)) * (n_max + 1) + occ[:, j] for j in range(modes)])
+    tables = (starts, np.sqrt(occ), np.where(occ > 0, down, 0), np.argmax(occ, axis=1), slots)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
 def sector_tables(n_max: int, modes: int):
     """(starts, roots, down, peel): the grid's fixed-total blocks, read-only, built on first use.
 
@@ -277,12 +293,7 @@ def sector_tables(n_max: int, modes: int):
     roots[i] is sqrt(z), down[i, j] the _rank of z - e_j in block n - 1 (0
     where z_j = 0, which roots zeroes out), peel[i] z's first largest mode.
     """
-    occ, _, starts, binomials = _grid(n_max, modes)
-    down = np.stack([_rank(occ - e, binomials) for e in np.eye(modes, dtype=np.int64)], axis=1)
-    tables = (starts, np.sqrt(occ), np.where(occ > 0, down, 0), np.argmax(occ, axis=1))
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
+    return _tables(n_max, modes)[:4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,23 +339,10 @@ def coherent_fock(amps: "np.ndarray | list | tuple", n_max: int) -> FockVector:
     return FockVector(cutoff=n_max, modes=len(amps), amps=vec)
 
 
-@functools.lru_cache(maxsize=8)
-def _mode_slots(n_max: int, modes: int):
-    """(rows, slots): amplitude i sits at flat slot slots[j, i] of mode j's matrix, read-only.
-
-    That rows x (n_max+1) matrix holds z at row (index of z without z_j on
-    the grid of the other modes), column z_j.
-    """
-    occ, totals, _, binomials = _grid(n_max, modes)
-    slots = np.stack([(binomials[modes - 1, totals - occ[:, j]] + _rank(np.delete(occ, j, axis=1),
-                       binomials)) * (n_max + 1) + occ[:, j] for j in range(modes)])
-    slots.flags.writeable = False
-    return int(binomials[modes - 1, -1]), slots
-
-
 def mode_overlap_norms(psi: FockVector, single: np.ndarray) -> np.ndarray:
-    """||<single|_j psi|| per mode j: conj(single) times mode j's _mode_slots matrix."""
-    rows, slots = _mode_slots(psi.cutoff, psi.modes)
+    """||<single|_j psi|| per mode j: conj(single) times mode j's matrix of _tables' slots."""
+    starts, *_, slots = _tables(psi.cutoff, psi.modes)
+    rows = int(starts[-1] - starts[-2])  # (m-1)-mode tuples of total <= cutoff: the last sector
     bra = single.conj().reshape(1, -1)
     norms = []
     for slot in slots:
@@ -414,13 +412,13 @@ def density_from_fock(psi: FockVector) -> DensityOperator:
 def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Trace distance (1/2)||rho - sigma||_1 by Hermitian eigensolves, one per sector.
 
-    With equal sector labels on rho and sigma, each sector's rows of
-    rho - sigma are formed once, rho[idx] - sigma[idx], and held only while
-    that sector is solved.  eigvalsh takes their in-sector columns, the bits
-    of (rho - sigma)[np.ix_(idx, idx)]; the other columns are the off-sector
-    part E.  Otherwise, or when every label is equal, the whole difference
-    rho - sigma is one sector, solved as it is, with no E.  eigvalsh is
-    deterministic for identical input bits.
+    Unequal sector labels on rho and sigma count as one sector.  Each
+    sector's rows of rho - sigma are formed once, rho[idx] - sigma[idx], and
+    held only while that sector is solved.  eigvalsh takes their in-sector
+    columns, the bits of (rho - sigma)[np.ix_(idx, idx)]; the other columns
+    are the off-sector part E.  A single sector is the whole difference in
+    its own order (a stable sort of equal labels moves nothing), with E
+    empty.  eigvalsh is deterministic for identical input bits.
 
     Raises ValueError unless the dropped off-block part E of rho - sigma
     obeys (1/2) sqrt(dim) ||E||_F <= SECTOR_LEAK_TOL.  Since ||E||_1 <=
@@ -433,16 +431,13 @@ def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> floa
                else np.zeros(rho.dim, dtype=np.int64))
     lams = []
     leak = 0.0
-    if (sectors == sectors[0]).all():
-        lams.append(np.linalg.eigvalsh(rho.entries - sigma.entries))
-    else:
-        order = np.argsort(sectors, kind="stable")
-        for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
-            rows = rho.entries[idx]
-            rows -= sigma.entries[idx]
-            lams.append(np.linalg.eigvalsh(rows[:, idx]))
-            rows[:, idx] = 0.0
-            leak += float(np.vdot(rows, rows).real)
+    order = np.argsort(sectors, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
+        rows = rho.entries[idx]
+        rows -= sigma.entries[idx]
+        lams.append(np.linalg.eigvalsh(rows[:, idx]))
+        rows[:, idx] = 0.0
+        leak += float(np.vdot(rows, rows).real)
     bound = 0.5 * math.sqrt(rho.dim * leak)
     if not bound <= SECTOR_LEAK_TOL:  # a NaN leak fails too
         raise ValueError(f"operator is not block diagonal over its sectors: off-sector "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EMPTY_BLOCK_FLOOR, BitString, codeword_fock
+from .encoding import EMPTY_BLOCK_FLOOR, BitString, as_int, codeword_fock
 from .fock import (
     coherent_fock,
     density_from_fock,
@@ -68,6 +68,7 @@ class SecurityParams:
     """Scenario parameters: m modes, d keys, amplitude |alpha|, weight w.
 
     w is the Hamming weight of u XOR v for the codeword pair under attack.
+    m, d and w are stored as Python ints; a non-integer count is refused.
     """
 
     m: int
@@ -76,6 +77,8 @@ class SecurityParams:
     w: int
 
     def __post_init__(self):
+        for name in ("m", "d", "w"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if self.d < 1:
@@ -183,7 +186,9 @@ def _class_sum_run(d: int, series: list, width: int):
     terms = np.zeros((width, len(series)))
     for j, pois in enumerate(series):
         terms[:len(pois), j] = pois
-    index = (((np.arange(width) % d) * len(series))[:, None] + np.arange(len(series))).ravel()
+    # t < width, so t mod min(d, width) is t mod d, and a d past int64 never reaches numpy
+    index = (((np.arange(width) % min(d, width)) * len(series))[:, None]
+             + np.arange(len(series))).ravel()
     return terms, index, np.bincount(index, terms.ravel())
 
 
@@ -239,7 +244,7 @@ def _class_sums(params: SecurityParams):
     This is the line kernel's one-row case: _signed_terms on floats, no padding.
     """
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
-    residues = np.arange(len(pois)) % params.d
+    residues = np.arange(len(pois)) % min(params.d, len(pois))  # as in _class_sum_run
     q = np.bincount(residues, pois)
     s = np.bincount(residues, _signed_terms(params.m, params.w, (params.abs_alpha,), (pois,), pois))
     q.flags.writeable = s.flags.writeable = False
@@ -253,6 +258,7 @@ def qk_ak_finite(params: SecurityParams, k: int):
     as (0.0, 1.0); the conventional A keeps sqrt(1 - A^2) at zero for
     absent blocks.
     """
+    k = as_int("k", k)
     if not 0 <= k < params.d:
         raise ValueError("k must satisfy 0 <= k < d")
     q, s, _ = _class_sums(params)

@@ -413,14 +413,16 @@ class TestSecuritySweep:
     @pytest.mark.parametrize("quantity, value", [("enc_distance", "0.8646647167633813"),
                                                  ("ratio", "0.87269362089782365")])
     def test_key_space_of_ten_to_the_twelve(self, quantity, value, capsys):
-        # the class sums are sized by the series, so d = 10^12 prints the d = 10^5 value
+        # the class sums are sized by the series, so d = 10^12 prints the d = 10^5 value,
+        # and so do key spaces past an int64 (2^63, 10^30)
         args = ["security-sweep", "--quantity", quantity, "--m", "2", "--w", "1",
                 "--alpha-min", "1", "--alpha-max", "1", "--alpha-step", "1"]
+        keys = (100000, 1000000000000, 2 ** 63, 10 ** 30)
         rows = []
-        for d in ("100000", "1000000000000"):
-            assert run_cli(args + ["--d", d]) == 0
+        for d in keys:
+            assert run_cli(args + ["--d", str(d)]) == 0
             rows.append(capsys.readouterr().out.splitlines()[1])
-        assert rows == [f"{quantity},2,{d},1,2,1,{value}" for d in (100000, 1000000000000)]
+        assert rows == [f"{quantity},2,{d},1,2,1,{value}" for d in keys]
 
 
 class TestSweepLines:

@@ -86,6 +86,18 @@ class TestKeygen:
         with pytest.raises(ValueError):
             PhaseKey(k=3, d=3)
 
+    def test_largest_key_space_numpy_draws(self):
+        # 2^63 is the widest range rng.integers takes; one past it is refused by name
+        key = keygen(2 ** 63, 0)
+        assert 0 <= key.k < 2 ** 63 and key.d == 2 ** 63
+        with pytest.raises(ValueError, match="key space size d must be at most 2\\^63"):
+            keygen(10 ** 20, 0)
+
+    def test_integer_keys_are_stored_as_python_ints(self):
+        key = PhaseKey(k=np.int64(1), d=np.int32(3))
+        assert (type(key.k), type(key.d)) == (int, int)
+        assert key == PhaseKey(k=1, d=3) and key.theta == PhaseKey(k=1, d=3).theta
+
 
 class TestAmplitudeVector:
     def test_keeps_a_read_only_copy(self):

@@ -337,6 +337,8 @@ DENSE_ORACLE_SHAPES = [(m, alpha, d, w)
                        for m in (1, 2) for alpha in (0.3, 0.7, 1.0) for d in (2, 3, 5)
                        for w in range(m + 1)]
 DENSE_ORACLE_SHAPES += [(1, 0.7, 3, 1), (2, 1.0, 5, 1), (2, 1.0, 5, 2), (3, 0.7, 4, 2)]
+# one key, so every label is equal and the whole difference is one sector
+DENSE_ORACLE_SHAPES += [(1, 0.7, 1, 1), (2, 0.79, 1, 1)]
 
 
 class TestSectorEigensolve:

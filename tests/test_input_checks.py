@@ -12,6 +12,7 @@ from phasekey.encoding import (
     PhaseKey,
     block_decomposition,
     encryption_channel_density,
+    keygen,
 )
 from phasekey.evaluation import NonlinearPhaseSpec, haar_random_unitary, nonlinear_phase_evolve
 from phasekey.fock import coherent_fock, distance_cutoff
@@ -21,7 +22,7 @@ from phasekey.protocol import (
     circuit_from_json,
     wire_float,
 )
-from phasekey.security import SecurityParams, unencrypted_trace_distance
+from phasekey.security import SecurityParams, qk_ak_finite, unencrypted_trace_distance
 
 
 def _circuit(gate):
@@ -75,6 +76,25 @@ CASES = {
     "nan-tol": _bad_tol(math.nan),
     "tol-below-a-normal-eps": _bad_tol(1e-152),
     "tol-just-below-a-normal-eps": _bad_tol(1.4916e-151),
+    # a count that is not an integer names no code, so it gets no number
+    "fractional-m": (lambda: SecurityParams(m=2.5, d=3, abs_alpha=1.0, w=1),
+                     "m must be an integer, got 2.5"),
+    "fractional-d": (lambda: SecurityParams(m=2, d=2.5, abs_alpha=1.0, w=1),
+                     "d must be an integer, got 2.5"),
+    "fractional-w": (lambda: SecurityParams(m=2, d=3, abs_alpha=1.0, w=1.5),
+                     "w must be an integer, got 1.5"),
+    "string-m": (lambda: SecurityParams(m="2", d=3, abs_alpha=1.0, w=1),
+                 "m must be an integer, got '2'"),
+    "fractional-block": (lambda: qk_ak_finite(SecurityParams(m=2, d=3, abs_alpha=1.0, w=1), 1.5),
+                         "k must be an integer, got 1.5"),
+    "fractional-key": (lambda: PhaseKey(k=1.5, d=3), "key k must be an integer, got 1.5"),
+    "fractional-key-space": (lambda: PhaseKey(k=1, d=2.5),
+                             "key space size d must be an integer, got 2.5"),
+    "keygen-fractional-key-space": (lambda: keygen(2.5, 0),
+                                    "key space size d must be an integer, got 2.5"),
+    "keygen-key-space-past-int64": (lambda: keygen(2 ** 63 + 1, 0),
+                                    "key space size d must be at most 2^63 to draw a key, "
+                                    "got 9223372036854775809"),
 }
 
 

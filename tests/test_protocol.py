@@ -173,14 +173,14 @@ class TestEvaluatorApply:
         # costs about 400 times that and the decoder's tables O(G m^2); past
         # three modes the cap counts the work
         psi = FockVector(cutoff=1, modes=400, amps=np.eye(1, 401)[0])
-        tables = (fock._grid, fock.sector_tables, fock._mode_slots)
-        misses = [f.cache_info().misses for f in tables]
+        tables = (fock._grid, fock._tables)
+        infos = [f.cache_info() for f in tables]
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="total photon number at most 1 on 400 modes "
                                                 "exceeds the cap of 31457 block entries"):
             party(psi)
         assert time.perf_counter() - start < 0.05
-        assert [f.cache_info().misses for f in tables] == misses
+        assert [f.cache_info() for f in tables] == infos
 
     def test_overflowing_energy_is_a_capacity_error_without_warning(self):
         # |alpha|^2 overflows a double; the pytest config turns a numpy

@@ -44,6 +44,13 @@ class TestSecurityParams:
         with pytest.raises(ValueError):
             params(2, 0, 1.0, 1)
 
+    def test_integer_counts_are_stored_as_python_ints(self):
+        # numpy and bool counts name the same parameter set, and so one class-sum entry
+        p = SecurityParams(m=np.int64(2), d=np.uint32(3), abs_alpha=1.0, w=True)
+        assert [type(v) for v in (p.m, p.d, p.w)] == [int, int, int]
+        assert p == params(2, 3, 1.0, 1)
+        assert _class_sums(p) is _class_sums(params(2, 3, 1.0, 1))
+
     # 1e200 overflows the float power in E, 1e154 the product m|alpha|^2
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 1e200, 1e154])
     def test_non_finite_alpha_is_a_value_error(self, alpha):
@@ -167,6 +174,15 @@ class TestFiniteBlocks:
         assert qk_ak_finite(p, 10 ** 12 - 1) == (0.0, 1.0)
         assert qk_ak_finite(p, 20) == qk_ak_finite(params(2, 10 ** 5, 1.0, 1), 20)
         assert encrypted_trace_distance(p) == encrypted_trace_distance(params(2, 10 ** 5, 1.0, 1))
+        # key spaces past an int64 give the same blocks
+        small = params(2, 10 ** 5, 1.0, 1)
+        for d in (2 ** 63, 10 ** 30):
+            p = params(2, d, 1.0, 1)
+            assert encrypted_trace_distance(p) == encrypted_trace_distance(small)
+            assert suppression_ratio(p) == suppression_ratio(small)
+            assert [qk_ak_finite(p, k) for k in range(21)] == [qk_ak_finite(small, k)
+                                                               for k in range(21)]
+            assert qk_ak_finite(p, d - 1) == (0.0, 1.0)
 
 
 class TestEncryptedDistance:
