@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_checks
-from .encoding import BitString
+from .encoding import BitString, as_int
 from .evaluation import Interferometer, NonlinearPhaseSpec, cat_state_target
 from .fock import CapacityError, mean_photon_number
 from .protocol import (
@@ -214,8 +214,7 @@ def _cmd_security_sweep(args) -> int:
 
 
 def _cmd_mutinfo(args) -> int:
-    if args.d < 1:  # the measurement ignores d, but the flag keeps security-sweep's range
-        raise ValueError("d must be at least 1")
+    as_int("d", args.d, least=1)  # the measurement ignores d; the flag keeps the sweep's range
     rule = parse_energy_rule(args.energy_rule, args.E)
     rows = ["m,E,abs_alpha,i_total"]
     for m in args.m:
@@ -285,7 +284,7 @@ def _cmd_protocol_demo(args) -> int:
             raise ValueError(f"--x has {len(x)} bits but --m is {args.m}")
     else:
         rng = np.random.default_rng(args.seed)
-        x = BitString(tuple(int(b) for b in rng.integers(0, 2, size=args.m)))
+        x = BitString(tuple(rng.integers(0, 2, size=args.m)))
 
     tr = run_protocol(x, args.alpha, args.d, circuit, seed=args.seed)
 

@@ -34,12 +34,19 @@ DENSE_CHANNEL_CAP = 4096
 EMPTY_BLOCK_FLOOR = 1e-300
 
 
-def as_int(name: str, value) -> int:
-    """value as a Python int; a ValueError naming it where operator.index refuses it (2.5, "3")."""
+def as_int(name: str, value, least: int | None = None) -> int:
+    """The one rule for every count: value as a Python int, not below least where that is given.
+
+    operator.index takes ints, bools and numpy integers; what it refuses
+    (2.5, 2.0, "3"), or a value below least, is a ValueError naming the field.
+    """
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class BitString:
     bits: tuple
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+        bits = tuple(as_int("bit", b) for b in self.bits)
         if len(bits) < 1:
             raise ValueError("bit string must have at least one bit")
         if any(b not in (0, 1) for b in bits):
@@ -66,15 +73,6 @@ class BitString:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def __xor__(self, other: "BitString") -> "BitString":
-        if len(other) != len(self):
-            raise ValueError("xor requires equal lengths")
-        return BitString(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
 
 @dataclass(frozen=True)
 class PhaseKey:
@@ -84,10 +82,8 @@ class PhaseKey:
     d: int
 
     def __post_init__(self):
-        object.__setattr__(self, "d", as_int("key space size d", self.d))
+        object.__setattr__(self, "d", as_int("key space size d", self.d, least=1))
         object.__setattr__(self, "k", as_int("key k", self.k))
-        if self.d < 1:
-            raise ValueError("key space size d must be at least 1")
         if not 0 <= self.k < self.d:
             raise ValueError("key must satisfy 0 <= k < d")
 
@@ -149,13 +145,11 @@ def encode(x: BitString, alpha: complex) -> AmplitudeVector:
 
 def keygen(d: int, seed) -> PhaseKey:
     """Uniformly random key, deterministic for a given seed; d at most 2^63, as numpy draws."""
-    d = as_int("key space size d", d)
-    if d < 1:
-        raise ValueError("key space size d must be at least 1")
+    d = as_int("key space size d", d, least=1)
     if d > 2 ** 63:
         raise ValueError(f"key space size d must be at most 2^63 to draw a key, got {d}")
     rng = np.random.default_rng(seed)
-    return PhaseKey(k=int(rng.integers(d)), d=d)
+    return PhaseKey(k=rng.integers(d), d=d)
 
 
 def phase_rotate(v: AmplitudeVector, theta: float) -> AmplitudeVector:
@@ -195,8 +189,7 @@ def encryption_channel_density(x: BitString, alpha: complex, d: int,
     trace_distance_numeric verifies that structure before it eigensolves
     sector by sector.
     """
-    if d < 1:
-        raise ValueError("key space size d must be at least 1")
+    d = as_int("key space size d", d, least=1)
     m = len(x)
     if grid_size(n_max, m, DENSE_CHANNEL_CAP) > DENSE_CHANNEL_CAP:
         raise CapacityError(f"dense channel average at m={m}, n_max={n_max} holds more "
@@ -218,8 +211,8 @@ def block_decomposition(alpha: complex, m: int, d: int, n_max: int):
     residues.  Reconstructing sum_j q_j |g_j><g_j| reproduces
     encryption_channel_density for x = 0...0.
     """
-    if d < 1:
-        raise ValueError("key space size d must be at least 1")
+    d = as_int("key space size d", d, least=1)
+    m = as_int("m", m, least=1)
     psi = coherent_fock([complex(alpha)] * m, n_max)
     residues = total_photon_numbers(n_max, m) % d
     blocks = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import AmplitudeVector
+from .encoding import AmplitudeVector, as_int
 from .fock import FockVector, coherent_coefficients, occupation_array, sector_tables
 
 UNITARITY_TOL = 1e-10
@@ -69,7 +69,7 @@ class NonlinearPhaseSpec:
     def __post_init__(self):
         cleaned = {}
         for exps, g in dict(self.terms).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(as_int("exponent", e) for e in exps)
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
             if not any(exps):
@@ -106,8 +106,7 @@ def haar_random_unitary(m: int, seed) -> Interferometer:
     QR with the R diagonal phases folded back in gives the uniform
     distribution; the result is deterministic per seed.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = as_int("m", m, least=1)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
     q, r = np.linalg.qr(z)

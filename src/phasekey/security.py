@@ -77,12 +77,8 @@ class SecurityParams:
     w: int
 
     def __post_init__(self):
-        for name in ("m", "d", "w"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
+        for name, least in (("m", 1), ("d", 1), ("w", None)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), least))
         if not math.isfinite(self.E):
             raise ValueError(f"|alpha| must be finite with m|alpha|^2 a finite double, "
                              f"got |alpha| = {self.abs_alpha!r}")
@@ -318,6 +314,7 @@ def encrypted_trace_distance_limit(params: SecurityParams) -> float:
 
 def unencrypted_trace_distance(w: int, abs_alpha: float) -> float:
     """sqrt(1 - e^{-4 w |alpha|^2}), the plain codeword-pair distance."""
+    w = as_int("w", w)
     if w < 0:
         raise ValueError("w must be nonnegative")
     if math.isnan(abs_alpha):
@@ -361,8 +358,7 @@ def encrypted_distance_oracle(u: BitString, v: BitString, alpha: float, d: int,
     """
     if len(u) != len(v):
         raise ValueError("bit strings must have equal length")
-    if d < 1:
-        raise ValueError("key space size d must be at least 1")
+    d = as_int("key space size d", d, least=1)
     t = total_photon_numbers(n_max, len(u))
     n_totals = int(t.max()) + 1
     a = codeword_fock(u, alpha, n_max).amps
@@ -411,6 +407,7 @@ def pgm_closed_form(abs_alpha: float, modes: int = 1) -> PgmResult:
     digit; that form loses digits as s nears 1.  The probability is capped
     at 1 and the information at the one bit a mode carries.
     """
+    modes = as_int("modes", modes, least=1)
     if math.isnan(abs_alpha):
         raise ValueError("|alpha| must be a number, got nan")
     a2 = mean_photon_number(abs_alpha, 1)

@@ -29,21 +29,11 @@ from phasekey.fock import (
 
 
 class TestBitString:
-    def test_weight_and_xor(self):
-        u = BitString.from_text("1101")
-        v = BitString.from_text("0111")
-        assert u.weight == 3
-        assert (u ^ v).to_text() == "1010"
-
     def test_rejects_empty_and_nonbinary(self):
         with pytest.raises(ValueError):
             BitString(())
         with pytest.raises(ValueError):
             BitString((0, 2))
-
-    def test_xor_length_mismatch(self):
-        with pytest.raises(ValueError):
-            BitString((0,)) ^ BitString((0, 1))
 
 
 class TestEncode:

@@ -2,8 +2,12 @@
 
 import json
 import math
+import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekey.checks import run_checks
 from phasekey.encoding import (
@@ -22,7 +26,14 @@ from phasekey.protocol import (
     circuit_from_json,
     wire_float,
 )
-from phasekey.security import SecurityParams, qk_ak_finite, unencrypted_trace_distance
+from phasekey.security import (
+    SecurityParams,
+    encrypted_distance_oracle,
+    encrypted_trace_distance,
+    pgm_closed_form,
+    qk_ak_finite,
+    unencrypted_trace_distance,
+)
 
 
 def _circuit(gate):
@@ -95,6 +106,25 @@ CASES = {
     "keygen-key-space-past-int64": (lambda: keygen(2 ** 63 + 1, 0),
                                     "key space size d must be at most 2^63 to draw a key, "
                                     "got 9223372036854775809"),
+    "unencrypted-fractional-w": (lambda: unencrypted_trace_distance(1.5, 0.5),
+                                 "w must be an integer, got 1.5"),
+    "pgm-negative-modes": (lambda: pgm_closed_form(1.0, modes=-1), "modes must be at least 1"),
+    "pgm-fractional-modes": (lambda: pgm_closed_form(1.0, modes=2.5),
+                             "modes must be an integer, got 2.5"),
+    "fractional-bit": (lambda: BitString((0.5, 1)), "bit must be an integer, got 0.5"),
+    "text-bit": (lambda: BitString(("0", "1")), "bit must be an integer, got '0'"),
+    "fractional-exponent": (lambda: NonlinearPhaseSpec({(2.5,): 1.0}),
+                            "exponent must be an integer, got 2.5"),
+    "channel-fractional-d": (lambda: encryption_channel_density(BitString((0,)), 1.0, 2.5, 3),
+                             "key space size d must be an integer, got 2.5"),
+    "blocks-fractional-d": (lambda: block_decomposition(1.0, 1, 2.5, 3),
+                            "key space size d must be an integer, got 2.5"),
+    "oracle-fractional-d": (lambda: encrypted_distance_oracle(BitString((0,)), BitString((1,)),
+                                                              1.0, 2.5, 3),
+                            "key space size d must be an integer, got 2.5"),
+    "blocks-fractional-m": (lambda: block_decomposition(1.0, 1.5, 2, 3),
+                            "m must be an integer, got 1.5"),
+    "haar-fractional-m": (lambda: haar_random_unitary(2.5, 1), "m must be an integer, got 2.5"),
 }
 
 
@@ -105,3 +135,64 @@ def test_rejects_with_its_message(name):
         call()
     assert err.type is ValueError
     assert str(err.value) == message
+
+
+# Every count that goes through encoding.as_int: (field name in the message,
+# smallest and largest value drawn, the call on that value).  Each call returns
+# what pickle compares bit for bit, stored types included.
+_PAIR = (BitString((0, 1)), BitString((1, 1)))
+
+
+def _channel(d):
+    rho = encryption_channel_density(_PAIR[0], 0.7, d, 3)
+    return rho.entries, rho.sectors
+
+
+def _blocks(m, d):
+    blocks, skipped = block_decomposition(0.7, m, d, 3)
+    return [(b.j, b.q_j, b.gtilde.amps) for b in blocks], skipped
+
+
+def _distance(m=3, d=3, w=1):
+    params = SecurityParams(m=m, d=d, abs_alpha=0.8, w=w)
+    return params, encrypted_trace_distance(params)
+
+
+COUNTS = {
+    "phase-key-d": ("key space size d", 1, 9, lambda d: PhaseKey(k=0, d=d)),
+    "phase-key-k": ("key k", 0, 8, lambda k: PhaseKey(k=k, d=9)),
+    "keygen-d": ("key space size d", 1, 9, lambda d: keygen(d, 3)),
+    "channel-d": ("key space size d", 1, 6, _channel),
+    "blocks-m": ("m", 1, 3, lambda m: _blocks(m, 3)),
+    "blocks-d": ("key space size d", 1, 6, lambda d: _blocks(2, d)),
+    "params-m": ("m", 1, 5, lambda m: _distance(m=m)),
+    "params-d": ("d", 1, 50, lambda d: _distance(d=d)),
+    "params-w": ("w", 0, 3, lambda w: _distance(w=w)),
+    "block-k": ("k", 0, 2, lambda k: qk_ak_finite(_distance()[0], k)),
+    "oracle-d": ("key space size d", 1, 6, lambda d: encrypted_distance_oracle(*_PAIR, 0.7, d, 4)),
+    "haar-m": ("m", 1, 4, lambda m: haar_random_unitary(m, 3).u),
+    "bit": ("bit", 0, 1, lambda b: BitString((b, 1))),
+    "exponent": ("exponent", 1, 4, lambda e: NonlinearPhaseSpec({(e, 0): 1.0}).terms),
+    "unencrypted-w": ("w", 0, 5, lambda w: unencrypted_trace_distance(w, 0.6)),
+    "pgm-modes": ("modes", 1, 20, lambda modes: pgm_closed_form(0.6, modes)),
+}
+
+NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(COUNTS)),
+       value=st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()))
+def test_a_fractional_count_is_refused_by_name(name, value):
+    field, _, _, call = COUNTS[name]
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(COUNTS)), kind=st.sampled_from(NUMPY_INTEGERS))
+def test_a_numpy_integer_count_gives_the_bits_of_the_python_int(data, name, kind):
+    _, lo, hi, call = COUNTS[name]
+    n = data.draw(st.integers(lo, hi))
+    assert pickle.dumps(call(kind(n))) == pickle.dumps(call(n))
