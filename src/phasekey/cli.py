@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_checks
-from .encoding import BitString, as_int
+from .encoding import BitString
 from .evaluation import Interferometer, NonlinearPhaseSpec, cat_state_target
-from .fock import CapacityError, mean_photon_number
+from .fock import CapacityError, as_int, mean_photon_number
 from .protocol import (
     CircuitDescription,
     circuit_from_json,
@@ -265,8 +265,9 @@ def _resolve_circuit(spec: str, m: int) -> CircuitDescription:
         raise ValueError(f"bad circuit file {spec}: {exc}") from None
 
 
-def _cat_fidelity(tr) -> float:
-    target = cat_state_target(tr.alpha, tr.decrypted.cutoff)
+def _cat_fidelity(tr, x: BitString) -> float:
+    """Fidelity of the decrypted state with the cat of the sent amplitude alpha (-1)^x."""
+    target = cat_state_target(tr.alpha * (-1) ** x.bits[0], tr.decrypted.cutoff)
     a, b = tr.decrypted.amps, target.amps
     fid = float(abs(np.vdot(a, b)) ** 2
                 / (np.vdot(a, a).real * np.vdot(b, b).real))
@@ -290,7 +291,7 @@ def _cmd_protocol_demo(args) -> int:
 
     text = tr.to_jsonl()
     if args.circuit == "kerr-cat":
-        fid = _cat_fidelity(tr)
+        fid = _cat_fidelity(tr, x)
         text += f'{{"type":"cat_fidelity","value":{wire_float(fid)}}}\n'
     _write_text(args.out, text)
 

@@ -10,7 +10,6 @@ number mod d; this module builds both the averaged state and its blocks.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +18,7 @@ from .fock import (
     CapacityError,
     DensityOperator,
     FockVector,
+    as_int,
     coherent_fock,
     grid_size,
     occupation_array,
@@ -32,21 +32,6 @@ DENSE_CHANNEL_CAP = 4096
 
 # Blocks whose weight underflows below this are reported absent.
 EMPTY_BLOCK_FLOOR = 1e-300
-
-
-def as_int(name: str, value, least: int | None = None) -> int:
-    """The one rule for every count: value as a Python int, not below least where that is given.
-
-    operator.index takes ints, bools and numpy integers; what it refuses
-    (2.5, 2.0, "3"), or a value below least, is a ValueError naming the field.
-    """
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -65,7 +50,15 @@ class BitString:
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        return cls(tuple(int(c) for c in text.strip()))
+        """Bits from the ASCII characters 0 and 1, surrounding whitespace ignored.
+
+        Any other character, a fullwidth digit too, is a ValueError naming it.
+        """
+        text = text.strip()
+        for c in text:
+            if c not in "01":
+                raise ValueError(f"bits must be the characters 0 and 1, got {c!r}")
+        return cls(tuple(int(c) for c in text))
 
     def to_text(self) -> str:
         return "".join(str(b) for b in self.bits)

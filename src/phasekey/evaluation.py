@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import AmplitudeVector, as_int
-from .fock import FockVector, coherent_coefficients, occupation_array, sector_tables
+from .encoding import AmplitudeVector
+from .fock import FockVector, as_int, coherent_coefficients, occupation_array, sector_tables
 
 UNITARITY_TOL = 1e-10
 

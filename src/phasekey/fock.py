@@ -8,7 +8,10 @@ module knows that layout: occupation_array and total_photon_numbers read
 one cached index per grid, grid_size and block_entries size it without a
 huge binomial, one cached builder gives sector_tables its fixed-total
 blocks and mode_overlap_norms its per-mode contractions; mean_photon_number
-(inf past a double) and distance_cutoff give its cutoff.
+(inf past a double) and distance_cutoff give its cutoff.  poisson_terms
+gives the Poisson(E) series behind every cutoff and closed form.  as_int
+is the package's one rule for counts: a grid's n_max and modes pass it
+before any grid cache sees them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -45,6 +49,21 @@ class CapacityError(Exception):
     """A requested computation exceeds the configured size caps."""
 
 
+def as_int(name: str, value, least: int | None = None) -> int:
+    """The one rule for every count: value as a Python int, not below least where that is given.
+
+    operator.index takes ints, bools and numpy integers; what it refuses
+    (2.5, 2.0, "3"), or a value below least, is a ValueError naming the field.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
 def mean_photon_number(abs_alpha: float, modes: int) -> float:
     """modes * abs_alpha ** 2 (m|alpha|^2), bit for bit; inf, with no warning, past a double."""
     try:
@@ -69,16 +88,6 @@ def _poisson_start(E: float, root: int = 1):
     return t, term(t)
 
 
-def series_steps(x, c, n: int) -> list:
-    """[x, x c / 1, x c^2 / 2!, ...]: n terms, each x * c / t from the last, on floats or arrays.
-
-    The steps run left to right from x = e^{-E}; the goldens pin their bits
-    in the Poisson terms (c = E) and in the signed class sums (c = (m - 2w)
-    |alpha|^2).
-    """
-    return [x] + [x := x * c / t for t in range(1, n)]
-
-
 def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     """Number-basis coefficients b_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!).
 
@@ -88,6 +97,7 @@ def coherent_coefficients(alpha: complex, n_max: int) -> np.ndarray:
     the phase of alpha^n; the entries below, all if n > n_max, stay 0.
     Raises CapacityError when |alpha|^2 overflows a double.
     """
+    n_max = as_int("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     alpha = complex(alpha)
@@ -112,7 +122,7 @@ def poisson_terms(E: float, eps: float = DEFAULT_TRUNCATION_EPS,
     terms follow p_t = p_{t-1} E / t from the first normal one, over one
     window that a Poisson tail bound sizes from E and eps, and are cut at
     the first t > E whose term is below eps * 1e-6: up to E ~ 708.4 the
-    scalar steps x E / t from e^{-E} (series_steps), and past
+    scalar steps x E / t from e^{-E}, whose bits the goldens pin, and past
     it one np.cumprod (same cutoff, terms within 1e-12 relative) whose
     terms below the start are 0 and whose kept ones are divided by their
     sum, which rounding in the log-form start would lift above 1.  Raises
@@ -147,7 +157,7 @@ def _poisson_terms(E: float, eps: float, hard_cap: int) -> np.ndarray:
     if start:
         terms = np.cumprod(np.concatenate(([x], E / np.arange(start + 1, end + 1))))
     else:
-        terms = series_steps(x, E, end + 1)
+        terms = [x] + [x := x * E / t for t in range(1, end + 1)]
     # One cut, the first t > E whose term is below eps * 1e-6.  Past floor(E) + 1
     # each step multiplies by E / t < 1 (fl(x E) < x t; fl(E / t) <= 1) and rounding
     # is monotone, so the tail does not rise and a bisection finds the cut; with
@@ -194,20 +204,22 @@ def distance_cutoff(abs_alpha_sq_total: float, tol: float) -> int:
     return truncation_bound(abs_alpha_sq_total, tol ** 2)
 
 
-def _check_grid(n_max: int, modes: int) -> None:
+def _check_grid(n_max: int, modes: int) -> tuple:
+    """(n_max, modes) as Python ints, checked before any grid cache sees them (2.0 hashes as 2)."""
+    n_max, modes = as_int("n_max", n_max), as_int("modes", modes)
     if n_max < 0 or modes < 1:
         raise ValueError(f"a grid needs n_max >= 0 and modes >= 1, got {n_max} and {modes}")
+    return n_max, modes
 
 
 @functools.lru_cache(maxsize=8)
 def _grid(n_max: int, modes: int):
-    """(occupations, totals, starts, binomials) of the grid, read-only.
+    """(occupations, totals, starts, binomials) of a checked grid, read-only.
 
     Row i of occupations is the tuple at flat index i, sector n is rows
     starts[n]:starts[n+1], and binomials[k, s + 1] = C(s+k, k) counts the
     k-mode tuples of total at most s (0 at s = -1), k = 0..modes.
     """
-    _check_grid(n_max, modes)
     binomials = np.zeros((modes + 1, n_max + 2), dtype=np.int64)
     binomials[0, 1:] = 1
     for k in range(1, modes + 1):
@@ -238,17 +250,17 @@ def _rank(occ: np.ndarray, binomials: np.ndarray) -> np.ndarray:
 
 def occupation_array(n_max: int, modes: int) -> np.ndarray:
     """All occupation tuples as a read-only integer array of shape (dim, modes)."""
-    return _grid(n_max, modes)[0]
+    return _grid(*_check_grid(n_max, modes))[0]
 
 
 def total_photon_numbers(n_max: int, modes: int) -> np.ndarray:
     """Total photon number of each occupation tuple, in index order, read-only."""
-    return _grid(n_max, modes)[1]
+    return _grid(*_check_grid(n_max, modes))[1]
 
 
 def grid_size(n_max: int, modes: int, cap: int) -> int:
     """min(C(n_max+modes, modes), cap + 1), in at most cap.bit_length() + 1 products."""
-    _check_grid(n_max, modes)
+    n_max, modes = _check_grid(n_max, modes)
     small, big = sorted((n_max, modes))
     size = 1
     for i in range(1, small + 1):  # C(big+i, i), at least doubling each step
@@ -293,7 +305,7 @@ def sector_tables(n_max: int, modes: int):
     roots[i] is sqrt(z), down[i, j] the _rank of z - e_j in block n - 1 (0
     where z_j = 0, which roots zeroes out), peel[i] z's first largest mode.
     """
-    return _tables(n_max, modes)[:4]
+    return _tables(*_check_grid(n_max, modes))[:4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,6 +323,8 @@ class FockVector:
     amps: np.ndarray
 
     def __post_init__(self):
+        for name in ("cutoff", "modes"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         amps = np.array(self.amps, dtype=complex)
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)

@@ -10,19 +10,24 @@ The central objects are the trace distances an adversary can exploit:
   distinguishability.
 
 Closed forms evaluate in O(E) time at any d via total-photon-number residue
-sums.  They take the Poisson(E) terms from fock.poisson_terms, the same
-terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14, and
-add them in index order from 0.0 (np.bincount); that fixed order is what
-keeps the sweep CSVs byte-identical.  Past E ~ 708.4, where e^{-E} is no
-longer a normal double, the terms start at the first normal one, so the
-closed forms hold at every energy the cutoff cap admits.  The series, and
-one record per parameter set of its class sums and encrypted distance, are
-memoized per process in bounded caches, so each is built once.  A sweep
-line, one (m, d) over an |alpha| grid and several w, comes whole from
-_line_distances, one float64 array per w, built in array passes of at
-most _LINE_ENTRIES series terms; a single call is the same code on one
-row: each row runs the same IEEE operations in the same order as it
-would alone, so every row keeps its bits.
+sums.  They take the Poisson(E) terms p_t from fock.poisson_terms, the same
+terms that size number-basis cutoffs, at tail SERIES_TAIL_EPS = 1e-14.  Each
+block is held as two nonnegative class parts, a_k and b_k, the sums of
+p_t (1 - r^t) and p_t (1 + r^t) over t = k (mod d) with r = (m - 2w)/m, so
+q_k sqrt(1 - A_k^2) = sqrt(a_k b_k) and nothing cancels; the d -> infinity
+limit is the same sum with one class per t.  The parts are added in index
+order from 0.0 (np.bincount), with only +, -, *, / and sqrt on the
+numbers; that fixed order is what keeps the sweep CSVs byte-identical.
+Past E ~ 708.4, where e^{-E} is no longer a normal double, the terms start
+at the first normal one, so the closed forms hold at every energy the
+cutoff cap admits.  The series, and one record per parameter set of its
+class parts, distance and limit, are memoized per process in bounded
+caches, so each is built once.  A sweep line, one (m, d) over an |alpha|
+grid and several w, comes whole from _line_distances, one float64 array
+per w, built in array passes of at most _LINE_ENTRIES series terms; a
+single call is the same code on one row: each row runs the same IEEE
+operations in the same order as it would alone, so every row keeps its
+bits.
 Every closed form has a brute-force companion (the dense channel average of
 encoding with fock.trace_distance_numeric; here, the support-basis oracle,
 tuple enumeration and the numeric pretty-good measurement) so the formulas
@@ -37,25 +42,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EMPTY_BLOCK_FLOOR, BitString, as_int, codeword_fock
+from .encoding import EMPTY_BLOCK_FLOOR, BitString, codeword_fock
 from .fock import (
+    as_int,
     coherent_fock,
     density_from_fock,
     mean_photon_number,
     occupation_array,
     poisson_terms,
-    series_steps,
     total_photon_numbers,
 )
 
-# Residue sums and limit series are truncated once the Poisson tail drops
-# below this; the discarded mass sits far below every reported tolerance.
+# The class-part series are truncated once the Poisson tail drops below
+# this; the discarded mass sits far below every reported tolerance.
 SERIES_TAIL_EPS = 1e-14
 
 # Relative eigenvalue threshold for the pseudoinverse square root.
 PGM_PINV_CUT = 1e-12
 
-# Most parameter sets whose class sums and distance _class_sums keeps.
+# Most parameter sets whose class parts, distance and limit _class_sums keeps.
 _CLASS_SUMS_CACHE_SIZE = 64
 
 # Most entries, series terms times |alpha| rows, that one array of a sweep
@@ -140,127 +145,112 @@ def _series_runs(m: int, abs_alphas):
         yield run, series, width
 
 
-def _powers(r: float, n: int) -> np.ndarray:
-    """r^t for t = 0..n-1 as one np.cumprod of r."""
-    return np.cumprod(np.concatenate(([1.0], np.full(n - 1, r))))
+def _parts(m: int, w: int, n: int) -> np.ndarray:
+    """Rows u_t = 1 - r^t and v_t = 1 + r^t for t < n, r = (m - 2w)/m: the only place r^t is formed.
 
-
-def _signed_terms(m: int, w: int, alphas, series, terms: np.ndarray):
-    """The signed series e^{-E} c^t / t!, c = (m - 2w)|alpha|^2, of each row, flat as terms.
-
-    While poisson_terms starts at t = 0 (E up to ~708.4) these are
-    series_steps from e^{-E}, as poisson_terms' own terms are: on floats for
-    a lone series (1-D terms), elementwise over the columns of a run, 0
-    past each column's series.  Past it, they are p_t r^t with r =
-    (m - 2w)/m and r^t from _powers, which keeps A = +-1 exact at w = 0
-    and w = m.
+    Both come from |r|^t, one running product of |r| = (m - 2s)/m with s
+    = min(w, m - w), and 1 - |r|^t = (2s/m) sum_{j<t} |r|^j, one running
+    sum, so no entry is a difference of nearly equal numbers.  Where r < 0
+    (2w > m), r^t = -|r|^t at odd t, which swaps u and v there.  u is
+    exactly 0 at w = 0 (r = 1) and exactly 0 or 2 at w = m (r = -1).  The
+    running product and sum are the ufuncs' accumulate, the loops of
+    np.cumprod and np.cumsum without their Python wrappers.
     """
-    if terms.ndim == 1:
-        if terms[0] > 0.0:
-            return series_steps(float(terms[0]), (m - 2 * w) * alphas[0] ** 2, len(terms))
-        return terms * _powers((m - 2 * w) / m, len(terms))
-    signed = terms * _powers((m - 2 * w) / m, len(terms))[:, None]
-    lens = [len(pois) if pois[0] > 0.0 else 0 for pois in series]
-    n = max(lens)
-    if n:
-        c = np.array([(m - 2 * w) * abs_alpha ** 2 for abs_alpha in alphas])
-        steps = series_steps(terms[0], c, n)
-        signed[:n] = np.where(np.arange(n)[:, None] < lens, steps, signed[:n])
-    return signed.ravel()
+    s = min(w, m - w)
+    steps = np.full(n, (m - 2 * s) / m)
+    steps[0] = 1.0
+    powers = np.multiply.accumulate(steps)
+    below = np.add.accumulate(np.concatenate(([0.0], powers[:-1])))
+    parts = np.array((2 * s / m * below, 1.0 + powers))
+    if 2 * w > m:
+        parts[:, 1::2] = parts[::-1, 1::2].copy()
+    return parts
 
 
-def _class_sum_run(d: int, series: list, width: int):
-    """(terms, index, q): a run's series, each term's class, the class weights, at one d.
+def _in_order(values: np.ndarray) -> float:
+    """sum(values) left to right from 0.0, as np.bincount adds.
 
-    The series sit zero-padded in the columns of terms[t, j].  Class k of
-    row j sits at k * rows + j of q, for k below min(d, width), and index
-    sends each entry of terms.ravel() there.  q, which no w changes, and
-    each w's signed sums are one np.bincount over index, so each class
-    adds its terms in index order from 0.0, as _class_sums does for one
-    series.
+    Never np.sum's pairwise or Python >= 3.12's compensated order, so the
+    output bytes depend on neither.
     """
-    terms = np.zeros((width, len(series)))
-    for j, pois in enumerate(series):
-        terms[:len(pois), j] = pois
-    # t < width, so t mod min(d, width) is t mod d, and a d past int64 never reaches numpy
-    index = (((np.arange(width) % min(d, width)) * len(series))[:, None]
-             + np.arange(len(series))).ravel()
-    return terms, index, np.bincount(index, terms.ravel())
-
-
-def _block_distances(q: np.ndarray, s: np.ndarray, owners: np.ndarray, rows: int) -> np.ndarray:
-    """sum_k q_k sqrt(1 - A_k^2) over the classes with q_k >= EMPTY_BLOCK_FLOOR, per row.
-
-    Class entry i belongs to row owners[i] of rows.  1 - A_k^2, A_k =
-    s_k / q_k, is clamped at 0, which is 1 - a^2 for a the clip of A_k to
-    [-1, 1].  Each row adds its blocks in index order from 0.0
-    (np.bincount), unlike the pairwise np.sum or the compensated builtin
-    sum of Python >= 3.12, so the output bytes never depend on either.
-    """
-    present = q >= EMPTY_BLOCK_FLOOR
-    q = q[present]
-    a = s[present] / q
-    return np.bincount(owners[present], q * np.sqrt(np.maximum(0.0, 1.0 - a * a)), rows)
+    return float(np.bincount(np.zeros(len(values), dtype=np.intp), values, 1)[0])
 
 
 def _line_distances(m: int, d: int, ws, abs_alphas) -> np.ndarray:
     """Row i is the line of ws[i]: its distance at each of abs_alphas, float64.
 
     The distances are encrypted_trace_distance at (m, d, w, |alpha|), bit
-    for bit: each run of _series_runs is one _class_sum_run, whose series
-    and q every w shares.  Equal codewords (w = 0) are at 0.0 with no
-    series, so lines of only those build none.
+    for bit.  Each run of _series_runs sits zero-padded in the columns of
+    terms[t, j], which every w shares.  Class k of row j sits at k * rows
+    + j, for k below min(d, width), and index sends each entry of
+    terms.ravel() there, so one np.bincount adds each class part in index
+    order from 0.0, as _class_sums does for one series, and another adds
+    each row's sqrt(a_k b_k) in class order.  Equal codewords (w = 0) are
+    at 0.0 with no series, so lines of only those build none.
     """
     lines = np.zeros((len(ws), len(abs_alphas)))
     if not any(ws):
         return lines
     at = 0
     for alphas, series, width in _series_runs(m, abs_alphas):
-        terms, index, q = _class_sum_run(d, series, width)
-        owners = np.arange(len(q)) % len(series)
+        rows = len(series)
+        terms = np.zeros((width, rows))
+        for j, pois in enumerate(series):
+            terms[:len(pois), j] = pois
+        # t < width, so t mod min(d, width) is t mod d, and a d past int64 never reaches numpy
+        classes = min(d, width)
+        index = ((np.arange(width) % classes * rows)[:, None] + np.arange(rows)).ravel()
+        owners = np.tile(np.arange(rows), classes)
         for w, line in zip(ws, lines):
             if w:
-                s = np.bincount(index, _signed_terms(m, w, alphas, series, terms))
-                line[at:at + len(alphas)] = _block_distances(q, s, owners, len(alphas))
-        at += len(alphas)
+                pu, pv = _parts(m, w, width)[:, :, None] * terms
+                a, b = np.bincount(index, pu.ravel()), np.bincount(index, pv.ravel())
+                line[at:at + rows] = np.bincount(owners, np.sqrt(a * b), rows)
+        at += rows
     return lines
 
 
 @functools.lru_cache(maxsize=_CLASS_SUMS_CACHE_SIZE)
 def _class_sums(params: SecurityParams):
-    """(q, s, D): class sums q_k, signed_k (read-only) and D = sum_k q_k sqrt(1 - A_k^2).
-
-    k < min(d, n + 1): the series has n + 1 terms, so no class past them is
-    ever nonempty.  One entry serves the distance and every k's (q_k, A_k).
+    """(a, b, D, D_inf): the class parts a_k, b_k (read-only), the distance and its d -> inf limit.
 
     Grouping the occupation tuples of a class by their total photon number
-    t turns both the weight and the signed overlap sum into single Poisson
-    series: q_k collects p_t = e^{-E} E^t / t! over t = k (mod d), the signed
-    sum collects e^{-E} c^t / t! with c = (m - 2w)|alpha|^2 (_signed_terms).
-    This is the line kernel's one-row case: _signed_terms on floats, no padding.
+    t turns each block into Poisson series: with p_t = e^{-E} E^t / t! and
+    r = (m - 2w)/m, a_k = sum_{t = k (mod d)} p_t (1 - r^t) and b_k = the
+    same with 1 + r^t (_parts).  Both are sums of nonnegative terms, and
+    the block weight and overlap are q_k = (a_k + b_k)/2 and A_k = (b_k -
+    a_k)/(a_k + b_k), so the block's share of the distance, q_k sqrt(1 -
+    A_k^2), is sqrt(a_k b_k) with nothing left to cancel.  D sums those;
+    D_inf is the same sum with one class per t, the distance at any d past
+    the series, bit for bit.  k < min(d, n + 1): the series has n + 1
+    terms, so no class past them is ever nonempty.  One entry serves the
+    distance, the limit and every k's (q_k, A_k); it is the line kernel's
+    one-row case.
     """
     pois = poisson_terms(params.E, SERIES_TAIL_EPS)
-    residues = np.arange(len(pois)) % min(params.d, len(pois))  # as in _class_sum_run
-    q = np.bincount(residues, pois)
-    s = np.bincount(residues, _signed_terms(params.m, params.w, (params.abs_alpha,), (pois,), pois))
-    q.flags.writeable = s.flags.writeable = False
-    return q, s, float(_block_distances(q, s, np.zeros(len(q), dtype=np.intp), 1)[0])
+    pu, pv = pois * _parts(params.m, params.w, len(pois))
+    residues = np.arange(len(pois)) % min(params.d, len(pois))  # as in _line_distances
+    a, b = np.bincount(residues, pu), np.bincount(residues, pv)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b, _in_order(np.sqrt(a * b)), _in_order(np.sqrt(pu * pv))
 
 
 def qk_ak_finite(params: SecurityParams, k: int):
-    """Finite-d block weight and overlap (q_k, A_k).
+    """Finite-d block weight and overlap (q_k, A_k) = ((a_k + b_k)/2, (b_k - a_k)/(a_k + b_k)).
 
-    A block past the series or whose weight underflows is reported absent
-    as (0.0, 1.0); the conventional A keeps sqrt(1 - A^2) at zero for
-    absent blocks.
+    |A_k| <= 1 holds with no clip, since a_k, b_k >= 0 and rounding is
+    monotone.  A class past the series, or one whose terms all underflow
+    (past E ~ 708.4 the series starts at its first normal term), is
+    reported absent as (0.0, 1.0); the conventional A keeps sqrt(1 - A^2)
+    at zero for absent blocks.
     """
     k = as_int("k", k)
     if not 0 <= k < params.d:
         raise ValueError("k must satisfy 0 <= k < d")
-    q, s, _ = _class_sums(params)
-    if k >= len(q) or q[k] < EMPTY_BLOCK_FLOOR:
+    a, b, *_ = _class_sums(params)
+    if k >= len(a) or a[k] + b[k] == 0.0:
         return 0.0, 1.0
-    return float(q[k]), float(min(1.0, max(-1.0, s[k] / q[k])))
+    return float((a[k] + b[k]) / 2), float((b[k] - a[k]) / (a[k] + b[k]))
 
 
 def qk_ak_enumeration(params: SecurityParams, n_max: int):
@@ -288,7 +278,8 @@ def qk_ak_enumeration(params: SecurityParams, n_max: int):
 def encrypted_trace_distance(params: SecurityParams) -> float:
     """Trace distance between key-averaged codewords differing in w bits.
 
-    Sums q_k sqrt(1 - A_k^2) over the residue-class blocks at finite d.
+    Sums q_k sqrt(1 - A_k^2) = sqrt(a_k b_k) over the residue-class blocks
+    at finite d (_class_sums).
     Equal codewords (w = 0) are at distance 0.0 at any energy, with no
     series, so no cutoff cap applies to them.
     """
@@ -296,20 +287,14 @@ def encrypted_trace_distance(params: SecurityParams) -> float:
 
 
 def encrypted_trace_distance_limit(params: SecurityParams) -> float:
-    """The d -> infinity value: sum_{k>=1} e^{-E} E^k / k! sqrt(1 - r^{2k}).
+    """The d -> infinity value: sum_t sqrt(p_t (1 - r^t) p_t (1 + r^t)), r = (m - 2w)/m.
 
-    r = (m - 2w)/m; the k = 0 block never contributes since A_0 = 1.
-    It is 0.0 at w = 0 (r = 1) at any energy, with no series.
+    It is the distance with one class per total photon number t, and
+    equals encrypted_trace_distance at any d past the series (d = 2^63),
+    bit for bit, from the same memo entry.  It is 0.0 at w = 0 (r = 1) at
+    any energy, with no series.
     """
-    if params.w == 0:
-        return 0.0
-    pois = poisson_terms(params.E, SERIES_TAIL_EPS)
-    r2 = ((params.m - 2 * params.w) / params.m) ** 2
-    r2k = np.cumprod(np.full(len(pois) - 1, r2))  # k = 1..t_max
-    # left to right from 0.0, never np.sum's pairwise or Python >= 3.12's
-    # compensated order, so the output bytes depend on neither
-    return float(np.bincount(np.zeros(len(r2k), dtype=np.intp),
-                             pois[1:] * np.sqrt(np.maximum(0.0, 1.0 - r2k)), 1)[0])
+    return _class_sums(params)[3] if params.w else 0.0
 
 
 def unencrypted_trace_distance(w: int, abs_alpha: float) -> float:

@@ -585,6 +585,18 @@ class TestProtocolDemo:
         assert last["type"] == "cat_fidelity"
         assert 1 - 1e-8 <= last["value"] <= 1.0
 
+    def test_kerr_cat_fidelity_targets_the_sent_bit(self, tmp_path, capsys):
+        # bit 1 is carried by -alpha, so its cat is built from -alpha; against the
+        # cat of +alpha the same perfect state read 1.2e-4
+        out = tmp_path / "t.jsonl"
+        rc = run_cli(["protocol-demo", "--m", "1", "--x", "1", "--alpha",
+                      "1.5", "--circuit", "kerr-cat", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        last = json.loads(out.read_text().splitlines()[-1])
+        assert last["type"] == "cat_fidelity"
+        assert 1 - 1e-8 <= last["value"] <= 1.0
+
     def test_degenerate_code_reports_undecodable_and_its_flags(self, tmp_path, capsys):
         rc = run_cli(["protocol-demo", "--alpha", "0", "--d", "1",
                       "--out", str(tmp_path / "t.jsonl")])
@@ -611,6 +623,14 @@ class TestProtocolDemo:
         rc = run_cli(["protocol-demo", "--m", "2", "--x", "ab"])
         assert rc == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("x, bad", [("\uff11\uff10", "\uff11"), ("1a", "a")])
+    def test_x_takes_only_ascii_bits(self, x, bad, capsys):
+        # int() reads fullwidth digits, so "\uff11\uff10" once ran as x = 10
+        rc = run_cli(["protocol-demo", "--m", "2", "--x", x])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"bad --x: bits must be the characters 0 and 1, got {bad!r}" in err
 
     def test_kerr_cat_needs_one_mode(self, capsys):
         rc = run_cli(["protocol-demo", "--m", "2", "--circuit", "kerr-cat"])

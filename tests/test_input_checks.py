@@ -19,7 +19,7 @@ from phasekey.encoding import (
     keygen,
 )
 from phasekey.evaluation import NonlinearPhaseSpec, haar_random_unitary, nonlinear_phase_evolve
-from phasekey.fock import coherent_fock, distance_cutoff
+from phasekey.fock import FockVector, coherent_fock, distance_cutoff, occupation_array
 from phasekey.protocol import (
     CircuitDescription,
     ciphertext_from_json,
@@ -31,6 +31,8 @@ from phasekey.security import (
     encrypted_distance_oracle,
     encrypted_trace_distance,
     pgm_closed_form,
+    pgm_numeric_oracle,
+    qk_ak_enumeration,
     qk_ak_finite,
     unencrypted_trace_distance,
 )
@@ -125,6 +127,27 @@ CASES = {
     "blocks-fractional-m": (lambda: block_decomposition(1.0, 1.5, 2, 3),
                             "m must be an integer, got 1.5"),
     "haar-fractional-m": (lambda: haar_random_unitary(2.5, 1), "m must be an integer, got 2.5"),
+    "fock-vector-fractional-cutoff": (lambda: FockVector(cutoff=2.0, modes=1, amps=np.zeros(3)),
+                                      "cutoff must be an integer, got 2.0"),
+    "fock-vector-fractional-modes": (lambda: FockVector(cutoff=2, modes=1.0, amps=np.zeros(3)),
+                                     "modes must be an integer, got 1.0"),
+    "coherent-fractional-cutoff": (lambda: coherent_fock([1.0], 2.5),
+                                   "n_max must be an integer, got 2.5"),
+    "enumeration-fractional-cutoff": (lambda: qk_ak_enumeration(
+        SecurityParams(m=2, d=3, abs_alpha=1.0, w=1), 2.5), "n_max must be an integer, got 2.5"),
+    "pgm-oracle-fractional-cutoff": (lambda: pgm_numeric_oracle(1.0, 2.5),
+                                     "n_max must be an integer, got 2.5"),
+    "oracle-fractional-cutoff": (lambda: encrypted_distance_oracle(BitString((0,)),
+                                                                   BitString((1,)), 1.0, 2, 2.5),
+                                 "n_max must be an integer, got 2.5"),
+    # the grid cache takes 2.0 for 2, so the count is checked before it
+    "cached-grid-fractional-cutoff": (lambda: (occupation_array(2, 1), occupation_array(2.0, 1)),
+                                      "n_max must be an integer, got 2.0"),
+    # int() reads fullwidth digits and names itself in its message
+    "fullwidth-bits": (lambda: BitString.from_text("\uff11\uff10"),
+                       "bits must be the characters 0 and 1, got '\uff11'"),
+    "letter-in-bits": (lambda: BitString.from_text("1a"),
+                       "bits must be the characters 0 and 1, got 'a'"),
 }
 
 
@@ -137,7 +160,7 @@ def test_rejects_with_its_message(name):
     assert str(err.value) == message
 
 
-# Every count that goes through encoding.as_int: (field name in the message,
+# Every count that goes through fock.as_int: (field name in the message,
 # smallest and largest value drawn, the call on that value).  Each call returns
 # what pickle compares bit for bit, stored types included.
 _PAIR = (BitString((0, 1)), BitString((1, 1)))
@@ -175,6 +198,9 @@ COUNTS = {
     "exponent": ("exponent", 1, 4, lambda e: NonlinearPhaseSpec({(e, 0): 1.0}).terms),
     "unencrypted-w": ("w", 0, 5, lambda w: unencrypted_trace_distance(w, 0.6)),
     "pgm-modes": ("modes", 1, 20, lambda modes: pgm_closed_form(0.6, modes)),
+    "coherent-n-max": ("n_max", 0, 6, lambda n: coherent_fock([0.7, -0.7], n)),
+    "fock-vector-cutoff": ("cutoff", 2, 2,
+                           lambda n: FockVector(cutoff=n, modes=2, amps=np.ones(6))),
 }
 
 NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]

@@ -1,27 +1,36 @@
 """The array-form Poisson series agree bit for bit with the term-by-term loops.
 
 The reference functions below are the loop implementations that produced
-the stored CSV goldens.  The array forms must return exactly the same
-doubles (==, not approx) on a seeded grid of modes, weights, key counts
-and energies up to E = 700, and at the edge of the e^{-E} underflow
-(E = 705 and -ln of the smallest normal double).  Past that edge the
-series start at their first normal term and are cumulative products; there
-the cutoffs and CapacityError cases must equal those of the scalar loop
-they replace, and the terms and class sums must agree within 1e-12; the
-product over the window a tail bound sizes from E and eps must give the
-bits of the product over the cap's whole window.  The memoized series,
-class sums and distance must also equal the references on a repeated call
-and be keyed by every input, and the arrays must be read-only.  A sweep
-line, one (m, d) over a run of |alpha| and several w, is one array pass
-per run of series, and each of its values must be the one-row distance's
-bits, and the reference loop's wherever that applies.
+the stored CSV goldens: the class parts a_k and b_k, sums of the
+nonnegative terms p_t (1 - r^t) and p_t (1 + r^t), and the distance,
+limit and (q_k, A_k) formed from them.  The array forms must return
+exactly the same doubles (==, not approx) on a seeded grid of modes,
+weights, key counts and energies up to E = 700, and at the edge of the
+e^{-E} underflow (E = 705 and -ln of the smallest normal double).  On the
+same grid they must also be within 1e-13 relative of a decimal evaluation
+of the same kept terms, and the limit must be the distance at d = 2^63.
+Past the underflow edge the series start at their first normal term and
+are cumulative products; there the cutoffs and CapacityError cases must
+equal those of the scalar loop they replace, and the terms and class parts
+must agree within 1e-12; the product over the window a tail bound sizes
+from E and eps must give the bits of the product over the cap's whole
+window.  The memoized series, class parts and distance must also equal the
+references on a repeated call and be keyed by every input, and the arrays
+must be read-only.  A sweep line, one (m, d) over a run of |alpha| and
+several w, is one array pass per run of series, and each of its values
+must be the one-row distance's bits, and the reference loop's wherever
+that applies.
 """
 
 import math
 import sys
+from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekey.fock import (
     HARD_CUTOFF_CAP,
@@ -73,52 +82,92 @@ def ref_series(E, ratio, t_max):
     return terms
 
 
+def ref_parts(m, w, t_max):
+    """(u, v) for t = 0..t_max: u_t = 1 - r^t, v_t = 1 + r^t, r = (m - 2w)/m, as scalar loops.
+
+    |r|^t is a running product of |r| = (m - 2s)/m, s = min(w, m - w), and
+    1 - |r|^t = (2s/m) sum_{j<t} |r|^j a running sum; u and v swap at odd t
+    where r < 0.
+    """
+    s = min(w, m - w)
+    u, v = [], []
+    power, below = 1.0, 0.0
+    for t in range(t_max + 1):
+        one_minus, one_plus = 2 * s / m * below, 1.0 + power
+        if 2 * w > m and t % 2:
+            one_minus, one_plus = one_plus, one_minus
+        u.append(one_minus)
+        v.append(one_plus)
+        below += power
+        power *= (m - 2 * s) / m
+    return u, v
+
+
 def ref_class_sums(p):
-    q = np.zeros(p.d)
-    s = np.zeros(p.d)
-    if p.E == 0.0:
-        q[0] = 1.0
-        s[0] = 1.0
-        return q, s
-    c = (p.m - 2 * p.w) * p.abs_alpha ** 2
+    """(a, b): a_k = sum_{t = k (mod d)} p_t u_t and b_k the same with v_t, each from 0.0."""
+    a = np.zeros(p.d)
+    b = np.zeros(p.d)
     t_max = ref_truncation_bound(p.E, SERIES_TAIL_EPS)
     pois = ref_series(p.E, p.E, t_max)
-    signed = ref_series(p.E, c, t_max)
+    u, v = ref_parts(p.m, p.w, t_max)
     for t in range(t_max + 1):
-        q[t % p.d] += pois[t]
-        s[t % p.d] += signed[t]
-    return q, s
+        a[t % p.d] += pois[t] * u[t]
+        b[t % p.d] += pois[t] * v[t]
+    return a, b
 
 
-def ref_qk_ak(q, s, k):
-    if q[k] < 1e-300:
+def ref_qk_ak(a, b, k):
+    if a[k] + b[k] == 0.0:
         return 0.0, 1.0
-    return float(q[k]), float(min(1.0, max(-1.0, s[k] / q[k])))
+    return float((a[k] + b[k]) / 2), float((b[k] - a[k]) / (a[k] + b[k]))
 
 
 def ref_distance(p):
-    q, s = ref_class_sums(p)
+    if p.w == 0:
+        return 0.0
+    a, b = ref_class_sums(p)
     total = 0.0
     for k in range(p.d):
-        if q[k] < 1e-300:
-            continue
-        a = min(1.0, max(-1.0, s[k] / q[k]))
-        total += q[k] * math.sqrt(max(0.0, 1.0 - a * a))
+        total += math.sqrt(a[k] * b[k])
     return total
 
 
 def ref_limit(p):
-    if p.E == 0.0 or p.w == 0:
+    if p.w == 0:
         return 0.0
-    r2 = ((p.m - 2 * p.w) / p.m) ** 2
     t_max = ref_truncation_bound(p.E, SERIES_TAIL_EPS)
     pois = ref_series(p.E, p.E, t_max)
-    r2k = 1.0
+    u, v = ref_parts(p.m, p.w, t_max)
     total = 0.0
-    for k in range(1, t_max + 1):
-        r2k *= r2
-        total += pois[k] * math.sqrt(max(0.0, 1.0 - r2k))
+    for t in range(t_max + 1):
+        total += math.sqrt((pois[t] * u[t]) * (pois[t] * v[t]))
     return total
+
+
+def decimal_closed_forms(p):
+    """(a, b, D, D_inf) in 50-digit decimal arithmetic on the library's own kept Poisson terms.
+
+    Each kept double is taken exactly and r^t is a decimal power, so the
+    only difference from the library is its double rounding.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pois = [Decimal(x) for x in poisson_terms(p.E, SERIES_TAIL_EPS).tolist()]
+        r = Decimal(p.m - 2 * p.w) / p.m
+        classes = min(p.d, len(pois))
+        a, b = [Decimal(0)] * classes, [Decimal(0)] * classes
+        limit, power = Decimal(0), Decimal(1)
+        for t, x in enumerate(pois):
+            pu, pv = x * (1 - power), x * (1 + power)
+            a[t % classes] += pu
+            b[t % classes] += pv
+            limit += (pu * pv).sqrt()
+            power *= r
+        return a, b, sum(((ak * bk).sqrt() for ak, bk in zip(a, b)), Decimal(0)), limit
+
+
+def _within(got, want, scale, rtol):
+    return abs(Decimal(got) - want) <= Decimal(rtol) * scale
 
 
 # --- seeded grid ---------------------------------------------------------------
@@ -212,6 +261,48 @@ def test_qk_ak_finite_equals_reference_for_every_k():
     assert _mismatches(pairs) == []
 
 
+# The closed forms against decimal_closed_forms, the same kept terms in exact-enough
+# arithmetic.  q_k A_k = (b_k - a_k)/2 is a signed sum that cancels in exact
+# arithmetic too (to 0 at w = m/2), so it is measured relative to its class
+# weight q_k; every other value relative to itself.
+DECIMAL_RTOL = 1e-13
+
+
+def test_closed_forms_are_within_1e13_of_decimal_on_the_grid():
+    misses = []
+    for p in GRID:
+        a, b, distance, limit = decimal_closed_forms(p)
+        if p.w:
+            if not _within(encrypted_trace_distance(p), distance, distance, DECIMAL_RTOL):
+                misses.append(("distance", p))
+            if not _within(encrypted_trace_distance_limit(p), limit, limit, DECIMAL_RTOL):
+                misses.append(("limit", p))
+        for k in range(min(p.d, len(a))):
+            q, A = qk_ak_finite(p, k)
+            weight = (a[k] + b[k]) / 2
+            if not (_within(q, weight, weight, DECIMAL_RTOL)
+                    and _within(q * A, (b[k] - a[k]) / 2, weight, DECIMAL_RTOL)):
+                misses.append(("qk_ak", p, k))
+    assert misses == []
+
+
+def test_odd_d_complement_at_small_energy_keeps_its_digits():
+    # the signed class sums read 1.9954893448963301e-07 here, 0.18% low: 1 - A_k^2
+    # cancelled where the nonnegative parts a_k, b_k have nothing to cancel
+    p = SecurityParams(m=3, d=7, abs_alpha=0.1066572961828448, w=3)
+    assert len(poisson_terms(p.E, SERIES_TAIL_EPS)) == 8
+    want = decimal_closed_forms(p)[2]
+    assert abs(float(want) / 1.9991795208796434e-07 - 1.0) <= 1e-15
+    assert _within(encrypted_trace_distance(p), want, want, 1e-14)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 200), st.floats(0.0, 1.0), st.floats(0.0, 3000.0), st.integers(1, 10 ** 6))
+def test_limit_is_the_distance_at_a_key_space_past_every_series(m, share, E, d):
+    p = SecurityParams(m=m, d=d, abs_alpha=math.sqrt(E / m), w=round(share * m))
+    assert encrypted_trace_distance_limit(p) == encrypted_trace_distance(replace(p, d=2 ** 63))
+
+
 # --- memoized series ---------------------------------------------------------------
 # poisson_terms and security._class_sums each hand every caller the same
 # cached arrays, so they must be read-only, keyed by every input, and equal
@@ -273,10 +364,9 @@ def test_errors_raise_on_every_call(args, error):
 
 # --- past the e^{-E} underflow -------------------------------------------------------
 # Past UNDERFLOW_E = -ln(smallest normal double) ~ 708.4, poisson_terms is one
-# cumulative product from the first normal term and the signed class series
-# p_t r^t takes r^t as a cumulative product of r.  The references are the
-# scalar loop that built the series there before and the r ** t form of the
-# signed series.
+# cumulative product from the first normal term.  The references are the
+# scalar loop that built the series there before and the class parts with
+# 1 -+ r^t formed from r ** t.
 
 UNDERFLOW_E = -math.log(sys.float_info.min)
 ABOVE_UNDERFLOW_E = math.nextafter(UNDERFLOW_E, math.inf)
@@ -362,17 +452,16 @@ def test_large_energy_class_sums_equal_the_power_form():
     for p in _large_energy_class_sum_grid():
         pois = poisson_terms(p.E, SERIES_TAIL_EPS)
         assert pois[0] == 0.0  # past the underflow
-        signed = pois * ((p.m - 2 * p.w) / p.m) ** np.arange(len(pois))
+        powers = ((p.m - 2 * p.w) / p.m) ** np.arange(len(pois))
         residues = np.arange(len(pois)) % p.d
-        q_want = np.bincount(residues, pois, minlength=p.d)
-        s_want = np.bincount(residues, signed, minlength=p.d)
-        scale = np.bincount(residues, np.abs(signed), minlength=p.d)
-        q, s, _ = _class_sums(p)
+        a_want = np.bincount(residues, pois * (1.0 - powers), minlength=p.d)
+        b_want = np.bincount(residues, pois * (1.0 + powers), minlength=p.d)
+        a, b, *_ = _class_sums(p)
         if 2 * p.w in (0, p.m, 2 * p.m):  # r = 1, 0 or -1: every r^t is exact
-            ok = q.tobytes() == q_want.tobytes() and s.tobytes() == s_want.tobytes()
-        else:
-            ok = (q.tobytes() == q_want.tobytes()
-                  and np.all(np.abs(s - s_want) <= TERM_RTOL * scale + TERM_FLOOR))
+            ok = a.tobytes() == a_want.tobytes() and b.tobytes() == b_want.tobytes()
+        else:  # both parts are sums of nonnegative terms
+            ok = all(np.all(np.abs(got - want) <= TERM_RTOL * want + TERM_FLOOR)
+                     for got, want in ((a, a_want), (b, b_want)))
         if not ok:
             mismatches.append(p)
     assert mismatches == []
@@ -556,18 +645,19 @@ def test_memoized_distance_is_keyed_by_every_parameter():
 
 
 def test_one_memo_serves_the_distance_the_ratio_and_every_class():
-    # the distance rides in the class-sum record: one miss builds it, and the
-    # ratio and every k's (q_k, A_k) read it back
+    # the distance and its limit ride in the class-part record: one miss builds
+    # it, and the ratio, the limit and every k's (q_k, A_k) read it back
     from phasekey import security
 
     p = SecurityParams(m=6, d=9, abs_alpha=0.8, w=2)
     security._class_sums.cache_clear()
     distance = encrypted_trace_distance(p)
     assert security.suppression_ratio(p).encrypted == distance
+    assert encrypted_trace_distance_limit(p) == ref_limit(p)
     for k in range(p.d):
         qk_ak_finite(p, k)
     info = security._class_sums.cache_info()
-    assert (info.misses, info.hits) == (1, p.d + 1)
+    assert (info.misses, info.hits) == (1, p.d + 2)
     assert distance == ref_distance(p)
     assert not hasattr(encrypted_trace_distance, "cache_info")
 
