@@ -180,7 +180,8 @@ def encryption_channel_density(x: BitString, alpha: complex, d: int,
     1e-12 check guards.  Each basis state is labelled with its residue
     t mod d, the sectors over which the average is block diagonal;
     trace_distance_numeric verifies that structure before it eigensolves
-    sector by sector.
+    sector by sector.  Totals differ by at most n_max, so every d > n_max
+    gives the average and labels of d = n_max + 1, and the keys stop there.
     """
     d = as_int("key space size d", d, least=1)
     m = len(x)
@@ -190,6 +191,7 @@ def encryption_channel_density(x: BitString, alpha: complex, d: int,
     psi = codeword_fock(x, alpha, n_max)
     t = total_photon_numbers(n_max, m)
     totals = np.arange(t.max() + 1)
+    d = min(d, len(totals))
     # row k is R_k psi: d vectors of the grid's length
     rotated = np.array([np.exp(-2j * math.pi * k / d * totals)[t] * psi.amps for k in range(d)])
     rho = (rotated / d).T @ rotated.conj()

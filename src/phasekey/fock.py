@@ -31,9 +31,9 @@ _LN_MIN_NORMAL = math.log(sys.float_info.min)
 _TOO_LONG = "cutoff for tail {:g} at energy {:g} exceeds the cap {}"
 
 # Most series poisson_terms keeps: above the 101 energies of a golden sweep's
-# alpha grid, so the enc_distance and ratio goldens, which share that grid,
-# find each energy still held, and a sweep row's limit reuses the series of
-# its distance.
+# alpha grid, so commands that share an alpha grid in one process (the
+# enc_distance and ratio goldens) find each energy still held, and the
+# cross-checks build each energy they repeat once.
 _SERIES_CACHE_SIZE = 256
 
 # Most that dropping the off-sector part of an operator may move half its
@@ -335,9 +335,6 @@ class FockVector:
                              f"C(cutoff+m, m) = C({self.cutoff + self.modes}, {self.modes}) = "
                              f"{want if want <= sys.maxsize else 'over 2^63'}, one per occupation")
 
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
 
 def coherent_fock(amps: "np.ndarray | list | tuple", n_max: int) -> FockVector:
     """Tensor product of coherent states with the given mode amplitudes.
@@ -426,13 +423,12 @@ def density_from_fock(psi: FockVector) -> DensityOperator:
 def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Trace distance (1/2)||rho - sigma||_1 by Hermitian eigensolves, one per sector.
 
-    Unequal sector labels on rho and sigma count as one sector.  Each
-    sector's rows of rho - sigma are formed once, rho[idx] - sigma[idx], and
-    held only while that sector is solved.  eigvalsh takes their in-sector
-    columns, the bits of (rho - sigma)[np.ix_(idx, idx)]; the other columns
-    are the off-sector part E.  A single sector is the whole difference in
-    its own order (a stable sort of equal labels moves nothing), with E
-    empty.  eigvalsh is deterministic for identical input bits.
+    Unequal sector labels on rho and sigma count as one sector.  Sector by
+    sector, in label order, its rows of rho - sigma are formed once and held
+    only while it is solved: eigvalsh takes their in-sector columns, the
+    bits of (rho - sigma)[np.ix_(inside, inside)], and the other columns are
+    the off-sector strip E, empty for a single sector.  eigvalsh is
+    deterministic for identical input bits.
 
     Raises ValueError unless the dropped off-block part E of rho - sigma
     obeys (1/2) sqrt(dim) ||E||_F <= SECTOR_LEAK_TOL.  Since ||E||_1 <=
@@ -445,13 +441,13 @@ def trace_distance_numeric(rho: DensityOperator, sigma: DensityOperator) -> floa
                else np.zeros(rho.dim, dtype=np.int64))
     lams = []
     leak = 0.0
-    order = np.argsort(sectors, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(sectors[order])) + 1):
-        rows = rho.entries[idx]
-        rows -= sigma.entries[idx]
-        lams.append(np.linalg.eigvalsh(rows[:, idx]))
-        rows[:, idx] = 0.0
-        leak += float(np.vdot(rows, rows).real)
+    for label in sorted(set(sectors.tolist())):  # np.unique's first call: +1.6 MB peak RSS
+        inside = sectors == label
+        rows = rho.entries[inside]
+        rows -= sigma.entries[inside]
+        lams.append(np.linalg.eigvalsh(rows[:, inside]))
+        strip = rows[:, ~inside]
+        leak += float(np.vdot(strip, strip).real)
     bound = 0.5 * math.sqrt(rho.dim * leak)
     if not bound <= SECTOR_LEAK_TOL:  # a NaN leak fails too
         raise ValueError(f"operator is not block diagonal over its sectors: off-sector "

@@ -340,12 +340,15 @@ def encrypted_distance_oracle(u: BitString, v: BitString, alpha: float, d: int,
     at most 2d vectors, where the Hermitian difference is assembled and
     eigensolved; no basis vector is ever formed.  Exact for the truncated
     operators, with no Poisson series, residue class or rank-2 formula.
+    Every d > n_max keeps only the pairs t = t', as d = n_max + 1 does, so
+    the keys stop there and the cost does not grow with d.
     """
     if len(u) != len(v):
         raise ValueError("bit strings must have equal length")
     d = as_int("key space size d", d, least=1)
     t = total_photon_numbers(n_max, len(u))
     n_totals = int(t.max()) + 1
+    d = min(d, n_totals)
     a = codeword_fock(u, alpha, n_max).amps
     b = codeword_fock(v, alpha, n_max).amps
     aa = np.bincount(t, (a.conj() * a).real, n_totals)

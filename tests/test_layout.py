@@ -224,7 +224,7 @@ class TestNonFiniteAlpha:
         n_max = fock.truncation_bound(abs(alpha) ** 2, 1e-12)
         psi = coherent_fock([alpha], n_max)
         np.testing.assert_array_equal(psi.amps, coherent_coefficients(alpha, n_max))
-        assert psi.squared_norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.vdot(psi.amps, psi.amps).real == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("alpha", [1e200, -1e200j])
     @pytest.mark.parametrize("build", [

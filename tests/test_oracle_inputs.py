@@ -10,7 +10,8 @@ hold a second full-size matrix.  encrypted_distance_oracle builds the
 codewords' coordinates one total-photon-number sector at a time and QRs
 only those; it must agree within 1e-12 with the grid-wide version that QRs
 all 2d rotated codewords on the whole grid, forms Q and projects the
-codewords onto it.
+codewords onto it.  Past d = n_max + 1 both cut the key space at the grid,
+so their cost, and their bits, no longer depend on d.
 """
 
 import math
@@ -20,8 +21,13 @@ import numpy as np
 import pytest
 
 from phasekey.encoding import BitString, codeword_fock, encryption_channel_density
-from phasekey.fock import total_photon_numbers, trace_distance_numeric, truncation_bound
-from phasekey.security import encrypted_distance_oracle
+from phasekey.fock import (
+    distance_cutoff,
+    total_photon_numbers,
+    trace_distance_numeric,
+    truncation_bound,
+)
+from phasekey.security import SecurityParams, encrypted_distance_oracle, encrypted_trace_distance
 
 
 # --- references ---------------------------------------------------------------
@@ -186,3 +192,35 @@ def test_support_oracle_with_fewer_states_than_codewords(m, alpha, d, n_max):
     u, v = _pair(m, 1)
     got = encrypted_distance_oracle(u, v, alpha, d, n_max)
     assert abs(got - ref_distance_oracle(u, v, alpha, d, n_max)) <= 1e-12
+
+
+# --- key spaces past the grid ---------------------------------------------------
+
+# Totals on the grid differ by at most n_max, so the key average at any
+# d > n_max is the one at d = n_max + 1, and both oracles cut the keys there.
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_support_oracle_past_an_int64_is_its_value_at_the_grid(m):
+    # one phase column per key would pass numpy's largest dimension at d = 2**63
+    u, v = _pair(m, 1)
+    n_max = 12
+    at_grid = encrypted_distance_oracle(u, v, 0.5, n_max + 1, n_max)
+    for d in (10 ** 5, 2 ** 63):
+        assert encrypted_distance_oracle(u, v, 0.5, d, n_max) == at_grid
+
+
+def test_support_oracle_at_a_huge_key_space_matches_the_closed_form():
+    u, v = _pair(2, 1)
+    n_max = distance_cutoff(2 * 0.7 ** 2, 1e-6)
+    closed = encrypted_trace_distance(SecurityParams(m=2, d=2 ** 63, abs_alpha=0.7, w=1))
+    assert abs(encrypted_distance_oracle(u, v, 0.7, 2 ** 63, n_max) - closed) <= 1e-6
+
+
+def test_dense_channel_at_a_large_key_space_is_its_operator_at_the_grid():
+    x, n_max = BitString((1,)), 12
+    at_grid = encryption_channel_density(x, 0.5, n_max + 1, n_max)
+    assert _peak_bytes(encryption_channel_density, x, 0.5, 10 ** 5, n_max) < 2 ** 20
+    rho = encryption_channel_density(x, 0.5, 10 ** 5, n_max)
+    assert rho.entries.tobytes() == at_grid.entries.tobytes()
+    assert rho.sectors.tobytes() == at_grid.sectors.tobytes()
+    np.testing.assert_array_equal(rho.sectors, total_photon_numbers(n_max, 1) % 10 ** 5)
