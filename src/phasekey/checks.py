@@ -128,7 +128,7 @@ def _check_block_reconstruction():
     # the paper's partition: rho_x = sum_j q_j |F_x g_j><F_x g_j|, F_x the sign flips of x
     alpha, m, d = 0.8, 2, 5
     n_max = truncation_bound(m * alpha ** 2, 1e-12)
-    blocks, _ = block_decomposition(alpha, m, d, n_max)
+    blocks = block_decomposition(alpha, m, d, n_max)
     for x in map(BitString, itertools.product((0, 1), repeat=m)):
         flipped = [apply_sign_flips(b, x).amps for b in blocks]
         rebuilt = sum(b.q_j * np.outer(g, g.conj()) for b, g in zip(blocks, flipped))

@@ -5,6 +5,9 @@ amplitudes (-1)^{x_j} alpha.  Encryption rotates every mode by the same
 secret angle theta_k = 2 pi k / d.  Averaging over the key leaves a state
 that is block diagonal over the residue classes of the total photon
 number mod d; this module builds both the averaged state and its blocks.
+Totals reach at most the cutoff n_max, so both cut the key space at
+min(d, n_max + 1), as every larger d gives the same classes; a block of
+weight exactly 0 is absent.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ from .fock import (
 # is one matrix of at most 4096^2 complex entries (16 bytes each, 268 MB),
 # plus the d rotated codewords and the 128 x 128 tiles of its Hermitian check.
 DENSE_CHANNEL_CAP = 4096
-
-# Blocks whose weight underflows below this are reported absent.
-EMPTY_BLOCK_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class AmplitudeVector:
 class PartitionBlock:
     """One residue-class block of the key-averaged state.
 
-    j is the total-photon-number residue, q_j the block weight, and
+    j is the total-photon-number residue, q_j > 0 the block weight, and
     gtilde the normalized state supported on that class.
     """
 
@@ -190,38 +190,36 @@ def encryption_channel_density(x: BitString, alpha: complex, d: int,
                             f"than {DENSE_CHANNEL_CAP} states")
     psi = codeword_fock(x, alpha, n_max)
     t = total_photon_numbers(n_max, m)
-    totals = np.arange(t.max() + 1)
-    d = min(d, len(totals))
+    totals = np.arange(psi.cutoff + 1)
+    d = min(d, psi.cutoff + 1)
     # row k is R_k psi: d vectors of the grid's length
     rotated = np.array([np.exp(-2j * math.pi * k / d * totals)[t] * psi.amps for k in range(d)])
     rho = (rotated / d).T @ rotated.conj()
     return DensityOperator(rho, sectors=t % d)
 
 
-def block_decomposition(alpha: complex, m: int, d: int, n_max: int):
+def block_decomposition(alpha: complex, m: int, d: int, n_max: int) -> list:
     """Residue-class blocks of the key-averaged all-zeros codeword state.
 
-    Returns (blocks, skipped): blocks are PartitionBlock entries for every
-    residue j with weight above EMPTY_BLOCK_FLOOR, skipped lists the absent
-    residues.  Reconstructing sum_j q_j |g_j><g_j| reproduces
+    One PartitionBlock per residue j < min(d, n_max + 1) with weight q_j
+    above 0, in order of j; a class of weight exactly 0 is absent, as in
+    qk_ak_finite.  Reconstructing sum_j q_j |g_j><g_j| reproduces
     encryption_channel_density for x = 0...0.
     """
     d = as_int("key space size d", d, least=1)
     m = as_int("m", m, least=1)
     psi = coherent_fock([complex(alpha)] * m, n_max)
+    d = min(d, psi.cutoff + 1)
     residues = total_photon_numbers(n_max, m) % d
     blocks = []
-    skipped = []
     for j in range(d):
         mask = residues == j
         q_j = float(np.sum(np.abs(psi.amps[mask]) ** 2))
-        if q_j < EMPTY_BLOCK_FLOOR:
-            skipped.append(j)
-            continue
-        amps = np.where(mask, psi.amps, 0.0) / math.sqrt(q_j)
-        blocks.append(PartitionBlock(j=j, q_j=q_j,
-                                     gtilde=FockVector(cutoff=n_max, modes=m, amps=amps)))
-    return blocks, skipped
+        if q_j > 0.0:
+            amps = np.where(mask, psi.amps, 0.0) / math.sqrt(q_j)
+            blocks.append(PartitionBlock(j=j, q_j=q_j,
+                                         gtilde=FockVector(cutoff=n_max, modes=m, amps=amps)))
+    return blocks
 
 
 def apply_sign_flips(block: PartitionBlock, x: BitString) -> FockVector:

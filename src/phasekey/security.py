@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import EMPTY_BLOCK_FLOOR, BitString, codeword_fock
+from .encoding import BitString, codeword_fock
 from .fock import (
     as_int,
     coherent_fock,
@@ -126,23 +126,22 @@ def rank2_eigenvalues(C: float, cos_theta: float):
 
 
 def _series_runs(m: int, abs_alphas):
-    """Yield (alphas, series, width): consecutive runs of abs_alphas, their
-    Poisson(m|alpha|^2) series and the longest one's length.
+    """Yield (series, width): the Poisson(m|alpha|^2) series of consecutive
+    runs of abs_alphas and the longest one's length.
 
     A run grows while width times its rows stays within _LINE_ENTRIES, so
     an error is raised at the first |alpha|, in order, whose series fails.
     """
-    run, series, width = [], [], 0
+    series, width = [], 0
     for abs_alpha in abs_alphas:
         pois = poisson_terms(mean_photon_number(abs_alpha, m), SERIES_TAIL_EPS)
         if series and max(width, len(pois)) * (len(series) + 1) > _LINE_ENTRIES:
-            yield run, series, width
-            run, series, width = [], [], 0
-        run.append(abs_alpha)
+            yield series, width
+            series, width = [], 0
         series.append(pois)
         width = max(width, len(pois))
-    if run:
-        yield run, series, width
+    if series:
+        yield series, width
 
 
 def _parts(m: int, w: int, n: int) -> np.ndarray:
@@ -192,7 +191,7 @@ def _line_distances(m: int, d: int, ws, abs_alphas) -> np.ndarray:
     if not any(ws):
         return lines
     at = 0
-    for alphas, series, width in _series_runs(m, abs_alphas):
+    for series, width in _series_runs(m, abs_alphas):
         rows = len(series)
         terms = np.zeros((width, rows))
         for j, pois in enumerate(series):
@@ -258,21 +257,20 @@ def qk_ak_enumeration(params: SecurityParams, n_max: int):
 
     Slow companion to qk_ak_finite: enumerates every tuple z up to the
     cutoff, splits |b_z|^2 by total photon number mod d, and applies the
-    sign pattern of a weight-w difference string.  Intended for m <= 3.
+    sign pattern of a weight-w difference string.  One entry per class k <
+    min(d, n_max + 1), the classes the grid's totals reach; one of weight
+    exactly 0 reads (0.0, 1.0), as in qk_ak_finite.  Intended for m <= 3.
     """
-    m, d = params.m, params.d
+    m = params.m
     psi = coherent_fock([params.abs_alpha] * m, n_max)
+    d = min(params.d, psi.cutoff + 1)
     weight2 = np.abs(psi.amps) ** 2
     flipped = occupation_array(n_max, m)[:, :params.w].sum(axis=1)
     signs = np.where(flipped % 2 == 1, -1.0, 1.0)
     residues = total_photon_numbers(n_max, m) % d
     q = np.bincount(residues, weight2, minlength=d)
     s = np.bincount(residues, signs * weight2, minlength=d)
-    a = np.ones(d)
-    present = q >= EMPTY_BLOCK_FLOOR
-    a[present] = s[present] / q[present]
-    q[~present] = 0.0
-    return q, a
+    return q, np.divide(s, q, out=np.ones(d), where=q > 0.0)
 
 
 def encrypted_trace_distance(params: SecurityParams) -> float:
@@ -346,8 +344,8 @@ def encrypted_distance_oracle(u: BitString, v: BitString, alpha: float, d: int,
     if len(u) != len(v):
         raise ValueError("bit strings must have equal length")
     d = as_int("key space size d", d, least=1)
+    n_totals = as_int("n_max", n_max) + 1
     t = total_photon_numbers(n_max, len(u))
-    n_totals = int(t.max()) + 1
     d = min(d, n_totals)
     a = codeword_fock(u, alpha, n_max).amps
     b = codeword_fock(v, alpha, n_max).amps

@@ -190,27 +190,26 @@ class TestEncryptionChannel:
 
 class TestBlockDecomposition:
     def test_vacuum_input(self):
-        blocks, skipped = block_decomposition(0.0, 2, 4, 5)
+        blocks = block_decomposition(0.0, 2, 4, 5)
         assert [b.j for b in blocks] == [0]
         assert blocks[0].q_j == pytest.approx(1.0, abs=1e-15)
-        assert skipped == [1, 2, 3]
         assert abs(blocks[0].gtilde.amps[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_weights_sum_to_one(self):
         n_max = truncation_bound(2.0, 1e-12)
-        blocks, _ = block_decomposition(1.0, 2, 5, n_max)
+        blocks = block_decomposition(1.0, 2, 5, n_max)
         assert sum(b.q_j for b in blocks) == pytest.approx(1.0, abs=1e-11)
 
     def test_weights_match_poisson_classes(self):
         # q_j collects the Poisson(E) mass on totals congruent to j
         n_max = truncation_bound(2.0, 1e-12)
-        blocks, _ = block_decomposition(1.0, 2, 5, n_max)
+        blocks = block_decomposition(1.0, 2, 5, n_max)
         for b in blocks:
             want = sum(poisson.pmf(t, 2.0) for t in range(b.j, n_max * 2 + 1, 5))
             assert b.q_j == pytest.approx(want, abs=1e-10)
 
     def test_blocks_have_disjoint_support(self):
-        blocks, _ = block_decomposition(0.9, 2, 3, 6)
+        blocks = block_decomposition(0.9, 2, 3, 6)
         supports = [set(np.nonzero(b.gtilde.amps)[0]) for b in blocks]
         for i in range(len(supports)):
             for j in range(i + 1, len(supports)):
@@ -221,7 +220,7 @@ class TestBlockDecomposition:
     def test_reconstruction_matches_channel(self):
         # rho_x = sum_j q_j |F_x g_j><F_x g_j| for every x, F_x the sign flips of x
         n_max = truncation_bound(2 * 0.8 ** 2, 1e-12)
-        blocks, _ = block_decomposition(0.8, 2, 5, n_max)
+        blocks = block_decomposition(0.8, 2, 5, n_max)
         for x in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             dim = len(blocks[0].gtilde.amps)
             rebuilt = np.zeros((dim, dim), dtype=complex)
@@ -233,19 +232,19 @@ class TestBlockDecomposition:
 
     def test_single_mode_large_d_gives_poisson_weights(self):
         n_max = truncation_bound(1.0, 1e-12)
-        blocks, _ = block_decomposition(1.0, 1, n_max + 1, n_max)
+        blocks = block_decomposition(1.0, 1, n_max + 1, n_max)
         for b in blocks:
             assert b.q_j == pytest.approx(math.exp(-1.0) / math.factorial(b.j), abs=1e-12)
 
 
 class TestSignFlips:
     def test_zero_string_is_identity(self):
-        blocks, _ = block_decomposition(1.0, 2, 3, 8)
+        blocks = block_decomposition(1.0, 2, 3, 8)
         flipped = apply_sign_flips(blocks[1], BitString((0, 0)))
         np.testing.assert_array_equal(flipped.amps, blocks[1].gtilde.amps)
 
     def test_support_stays_in_class(self):
-        blocks, _ = block_decomposition(1.0, 2, 3, 8)
+        blocks = block_decomposition(1.0, 2, 3, 8)
         from phasekey.fock import total_photon_numbers
 
         t = total_photon_numbers(8, 2)
@@ -253,7 +252,7 @@ class TestSignFlips:
         assert np.all(t[np.nonzero(flipped.amps)[0]] % 3 == blocks[1].j)
 
     def test_cross_block_overlaps_vanish(self):
-        blocks, _ = block_decomposition(1.0, 2, 3, 8)
+        blocks = block_decomposition(1.0, 2, 3, 8)
         h = apply_sign_flips(blocks[0], BitString((1, 1)))
         for b in blocks[1:]:
             assert overlap(h, b.gtilde) == 0.0
@@ -261,20 +260,20 @@ class TestSignFlips:
     def test_balanced_string_zeroes_the_diagonal_overlap(self):
         # m = 2, w = 1: within class j = 1 the signed mass cancels exactly
         n_max = truncation_bound(2.0, 1e-12)
-        blocks, _ = block_decomposition(1.0, 2, 5, n_max)
+        blocks = block_decomposition(1.0, 2, 5, n_max)
         block1 = [b for b in blocks if b.j == 1][0]
         h = apply_sign_flips(block1, BitString((1, 0)))
         assert abs(overlap(h, block1.gtilde)) <= 1e-12
 
     def test_diagonal_overlap_is_real(self):
         n_max = truncation_bound(2 * 1.21, 1e-12)
-        blocks, _ = block_decomposition(1.1, 2, 4, n_max)
+        blocks = block_decomposition(1.1, 2, 4, n_max)
         for b in blocks:
             h = apply_sign_flips(b, BitString((1, 0)))
             assert abs(overlap(h, b.gtilde).imag) <= 1e-12
 
     def test_mode_count_mismatch(self):
-        blocks, _ = block_decomposition(1.0, 2, 3, 6)
+        blocks = block_decomposition(1.0, 2, 3, 6)
         with pytest.raises(ValueError):
             apply_sign_flips(blocks[0], BitString((1, 0, 1)))
 

@@ -172,8 +172,7 @@ def _channel(d):
 
 
 def _blocks(m, d):
-    blocks, skipped = block_decomposition(0.7, m, d, 3)
-    return [(b.j, b.q_j, b.gtilde.amps) for b in blocks], skipped
+    return [(b.j, b.q_j, b.gtilde.amps) for b in block_decomposition(0.7, m, d, 3)]
 
 
 def _distance(m=3, d=3, w=1):

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasekey.encoding import EMPTY_BLOCK_FLOOR, BitString
+from phasekey.encoding import BitString
 from phasekey.fock import distance_cutoff
 from phasekey.security import (
     SecurityParams,
@@ -51,7 +51,7 @@ def multisection_distance(p: SecurityParams, d: int) -> float:
     c = (p.m - 2 * p.w) * p.abs_alpha ** 2
     q = (np.fft.fft(np.exp(p.E * (roots - 1.0))) / d).real
     s = (np.fft.fft(np.exp(c * roots - p.E)) / d).real
-    present = q >= EMPTY_BLOCK_FLOOR
+    present = q >= 1e-300  # zero and negative rounding noise are not weight
     a = np.clip(s[present] / q[present], -1.0, 1.0)
     return float(np.sum(q[present] * np.sqrt(1.0 - a * a)))
 

@@ -11,23 +11,38 @@ codewords' coordinates one total-photon-number sector at a time and QRs
 only those; it must agree within 1e-12 with the grid-wide version that QRs
 all 2d rotated codewords on the whole grid, forms Q and projects the
 codewords onto it.  Past d = n_max + 1 both cut the key space at the grid,
-so their cost, and their bits, no longer depend on d.
+so their cost, and their bits, no longer depend on d; so do the paper's
+partition, block_decomposition, and the tuple enumeration, qk_ak_enumeration.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from phasekey.encoding import BitString, codeword_fock, encryption_channel_density
+from phasekey.encoding import (
+    BitString,
+    block_decomposition,
+    codeword_fock,
+    encryption_channel_density,
+)
 from phasekey.fock import (
     distance_cutoff,
+    poisson_terms,
     total_photon_numbers,
     trace_distance_numeric,
     truncation_bound,
 )
-from phasekey.security import SecurityParams, encrypted_distance_oracle, encrypted_trace_distance
+from phasekey.security import (
+    SERIES_TAIL_EPS,
+    SecurityParams,
+    encrypted_distance_oracle,
+    encrypted_trace_distance,
+    qk_ak_enumeration,
+    qk_ak_finite,
+)
 
 
 # --- references ---------------------------------------------------------------
@@ -224,3 +239,50 @@ def test_dense_channel_at_a_large_key_space_is_its_operator_at_the_grid():
     assert rho.entries.tobytes() == at_grid.entries.tobytes()
     assert rho.sectors.tobytes() == at_grid.sectors.tobytes()
     np.testing.assert_array_equal(rho.sectors, total_photon_numbers(n_max, 1) % 10 ** 5)
+
+
+# Past an int64 first: there a residue formed before the cut is an OverflowError.
+HUGE_KEY_SPACES = (2 ** 63, 10 ** 12, 10 ** 5)
+
+
+def _partition(m, d, n_max):
+    """The paper's partition of the all-zeros codeword as (j, q_j, amplitude bytes) per block."""
+    return [(b.j, b.q_j, b.gtilde.amps.tobytes()) for b in block_decomposition(0.5, m, d, n_max)]
+
+
+def _enumeration(m, d, n_max):
+    """The tuple enumeration's q and A arrays as bytes, at w = 1."""
+    q, a = qk_ak_enumeration(SecurityParams(m=m, d=d, abs_alpha=0.5, w=1), n_max)
+    return q.tobytes(), a.tobytes()
+
+
+@pytest.mark.parametrize("build", [_partition, _enumeration])
+@pytest.mark.parametrize("m", [1, 2])
+def test_partition_and_enumeration_past_the_grid_are_their_value_at_the_grid(build, m):
+    # at most n_max + 1 classes can hold a tuple, so no residue loop or array
+    # may be sized by d itself
+    n_max = 12
+    at_grid = build(m, n_max + 1, n_max)
+    for d in HUGE_KEY_SPACES:
+        start = time.perf_counter()
+        got = build(m, d, n_max)
+        assert time.perf_counter() - start < 0.05
+        assert got == at_grid
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_enumeration_and_finite_blocks_share_the_cut(m):
+    # with n_max one below the series' length, the closed form and the
+    # enumeration hold the same classes: they agree on each, and every class
+    # past them is absent, (0.0, 1.0)
+    for w in range(m + 1):
+        p = SecurityParams(m=m, d=2 ** 63, abs_alpha=0.5, w=w)
+        n_max = len(poisson_terms(p.E, SERIES_TAIL_EPS)) - 1
+        q_ref, a_ref = qk_ak_enumeration(p, n_max)
+        assert len(q_ref) == len(a_ref) == n_max + 1
+        for k in range(n_max + 1):
+            q, a = qk_ak_finite(p, k)
+            assert q == pytest.approx(q_ref[k], rel=1e-12)
+            assert a == pytest.approx(a_ref[k], abs=1e-12)
+        for k in (n_max + 1, 10 ** 12, p.d - 1):
+            assert qk_ak_finite(p, k) == (0.0, 1.0)

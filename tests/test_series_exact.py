@@ -795,7 +795,7 @@ def test_line_across_the_underflow_edge():
         energies = [m * a ** 2 for a in alphas]
         assert min(energies) < UNDERFLOW_E < max(energies)
         straddled |= any({pois[0] > 0.0 for pois in series} == {True, False}
-                         for _, series, _ in _series_runs(m, alphas))
+                         for series, _ in _series_runs(m, alphas))
         cases = _line(m, d, [0, 1, m], alphas)
         assert _line_mismatches(cases) == []
         assert sum(ref is not None for *_, ref in cases) >= 20
