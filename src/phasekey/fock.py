@@ -3,11 +3,13 @@
 The photon-number basis is cut on the total: the grid of cutoff n_max on
 m modes holds the C(n_max+m, m) occupations z with z_1 + ... + z_m <=
 n_max, ordered by total, then lexicographically with z_1 most significant,
-so sector n (total n) is one slice and one mode is 0..n_max.  Only this
-module knows that layout: occupation_array and total_photon_numbers read
-one cached index per grid, grid_size and block_entries size it without a
-huge binomial, one cached builder gives sector_tables its fixed-total
-blocks and mode_overlap_norms its per-mode contractions; mean_photon_number
+so sector n (total n) is one slice and one mode is 0..n_max, and the grid
+of a smaller cutoff is a prefix of it.  Only this module knows that
+layout: one grid is held per mode count, at the largest cutoff asked, and
+occupation_array and total_photon_numbers read read-only prefix views of
+it; grid_size and block_entries size a grid without a huge binomial, one
+cached builder gives sector_tables its fixed-total blocks and
+mode_overlap_norms its per-mode contractions; mean_photon_number
 (inf past a double) and distance_cutoff give its cutoff.  poisson_terms
 gives the Poisson(E) series behind every cutoff and closed form.  as_int
 is the package's one rule for counts: a grid's n_max and modes pass it
@@ -212,14 +214,14 @@ def _check_grid(n_max: int, modes: int) -> tuple:
     return n_max, modes
 
 
-@functools.lru_cache(maxsize=8)
-def _grid(n_max: int, modes: int):
-    """(occupations, totals, starts, binomials) of a checked grid, read-only.
+# modes -> the grid at the largest cutoff asked so far, for the last
+# _HELD_MODES mode counts used, least recently used first (see _grid)
+_HELD_MODES = 8
+_held: dict = {}
 
-    Row i of occupations is the tuple at flat index i, sector n is rows
-    starts[n]:starts[n+1], and binomials[k, s + 1] = C(s+k, k) counts the
-    k-mode tuples of total at most s (0 at s = -1), k = 0..modes.
-    """
+
+def _build_grid(n_max: int, modes: int):
+    """(occupations, totals, starts, binomials) of a checked grid, read-only, built afresh."""
     binomials = np.zeros((modes + 1, n_max + 2), dtype=np.int64)
     binomials[0, 1:] = 1
     for k in range(1, modes + 1):
@@ -235,6 +237,32 @@ def _grid(n_max: int, modes: int):
     for arr in grid:
         arr.flags.writeable = False
     return grid
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(n_max: int, modes: int):
+    """(occupations, totals, starts, binomials) of a checked grid, read-only views.
+
+    Row i of occupations is the tuple at flat index i, sector n is rows
+    starts[n]:starts[n+1], and binomials[k, s + 1] = C(s+k, k) counts the
+    k-mode tuples of total at most s (0 at s = -1), k = 0..modes.
+
+    Ordered by total first, the grid at n_max is the first C(n_max+m, m)
+    rows of any larger one, so each is served as prefix views, with the
+    integers of a fresh build, of the one grid held for its mode count: the
+    grid at the largest cutoff asked so far, rebuilt only for a larger one.
+    Memory is that grid per held mode count, plus older ones still under
+    the views this memo holds.
+    """
+    held = _held.pop(modes, None)  # read once: the slices below come from this grid
+    if held is None or len(held[2]) < n_max + 2:
+        held = _build_grid(n_max, modes)
+    _held[modes] = held  # most recently used last
+    if len(_held) > _HELD_MODES:
+        del _held[next(iter(_held))]
+    occ, totals, starts, binomials = held
+    size = starts[n_max + 1]
+    return occ[:size], totals[:size], starts[:n_max + 2], binomials[:, :n_max + 2]
 
 
 def _rank(occ: np.ndarray, binomials: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the number-basis layout that fock alone defines.
 
-Covers the cached occupation index, the capped grid size, the sector
+Covers the occupation index, served as prefix views of one grid held
+per mode count in any order of cutoffs, the capped grid size, the sector
 tables of the interferometer recursion, the rejection of impossible grids
 and non-finite amplitudes, the per-mode contraction, block-entry count and
 overflow-safe energy that fock owns, and the callers that now read fock
@@ -76,6 +77,120 @@ class TestGridIndex:
             occupation_array(n_max, modes)
         with pytest.raises(ValueError, match="a grid needs"):
             total_photon_numbers(n_max, modes)
+
+
+def _forget_grids():
+    """Drop every grid fock holds or memoizes, so the next call builds afresh."""
+    fock._grid.cache_clear()
+    fock._tables.cache_clear()
+    fock._held.clear()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Start with no grid held or memoized; list the (n_max, modes) of every grid built."""
+    calls = []
+    real = fock._build_grid
+
+    def counted(n_max, modes):
+        calls.append((n_max, modes))
+        return real(n_max, modes)
+
+    _forget_grids()
+    monkeypatch.setattr(fock, "_build_grid", counted)
+    yield calls
+    _forget_grids()
+
+
+def _served(n_max, modes):
+    """Every array fock serves for one grid."""
+    return (occupation_array(n_max, modes), total_photon_numbers(n_max, modes),
+            *sector_tables(n_max, modes))
+
+
+def _bytes(arrays):
+    return [(arr.dtype.str, arr.shape, arr.tobytes()) for arr in arrays]
+
+
+PREFIX_CUTOFFS = [0, 1, 2, 4, 7]
+PREFIX_ORDERS = {"ascending": PREFIX_CUTOFFS, "descending": PREFIX_CUTOFFS[::-1],
+                 "interleaved": [4, 0, 7, 2, 1]}
+
+
+class TestGridPrefixes:
+    """One grid per mode count, at the largest cutoff asked; every cutoff is a prefix view of it."""
+
+    @pytest.mark.parametrize("order", PREFIX_ORDERS.values(), ids=PREFIX_ORDERS.keys())
+    @pytest.mark.parametrize("modes", [1, 2, 3, 5])
+    def test_any_order_serves_the_arrays_of_a_fresh_build(self, builds, modes, order):
+        fresh = {}
+        for n in PREFIX_CUTOFFS:  # each grid the only one asked: a fresh build at its cutoff
+            _forget_grids()
+            fresh[n] = _bytes(_served(n, modes))
+            ref = ref_occupations(n, modes)
+            np.testing.assert_array_equal(occupation_array(n, modes), ref)
+            np.testing.assert_array_equal(total_photon_numbers(n, modes), ref.sum(axis=1))
+        _forget_grids()
+        for n in order:
+            served = _served(n, modes)
+            assert _bytes(served) == fresh[n]
+            for arr in served:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 0
+
+    @pytest.mark.parametrize("order", PREFIX_ORDERS.values(), ids=PREFIX_ORDERS.keys())
+    @pytest.mark.parametrize("modes", [1, 2, 3, 5])
+    def test_mode_overlap_norms_keep_their_bytes_in_any_order(self, builds, modes, order):
+        rng = np.random.default_rng(modes)
+        states = {}
+        for n in PREFIX_CUTOFFS:
+            dim = math.comb(n + modes, modes)
+            states[n] = (FockVector(cutoff=n, modes=modes,
+                                    amps=rng.normal(size=dim) + 1j * rng.normal(size=dim)),
+                         rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+        fresh = {}
+        for n, (psi, single) in states.items():
+            _forget_grids()
+            fresh[n] = mode_overlap_norms(psi, single).tobytes()
+        _forget_grids()
+        for n in order:
+            assert mode_overlap_norms(*states[n]).tobytes() == fresh[n]
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 5])
+    def test_a_smaller_cutoff_is_a_view_of_the_held_grid(self, builds, modes):
+        occupation_array(7, modes)
+        held = fock._held[modes]
+        for n in (0, 3, 6):
+            served = _served(n, modes)
+            for arr, base in zip(served[:3], held[:3]):  # occupations, totals, starts
+                assert np.shares_memory(arr, base)
+        assert builds == [(7, modes)]
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 5])
+    def test_a_larger_cutoff_replaces_the_held_grid(self, builds, modes):
+        occupation_array(3, modes)
+        smaller = fock._held[modes]
+        occupation_array(6, modes)
+        assert builds == [(3, modes), (6, modes)]
+        assert list(fock._held) == [modes] and fock._held[modes] is not smaller
+        assert len(fock._held[modes][0]) == math.comb(6 + modes, modes)
+
+    def test_at_most_eight_mode_counts_are_held(self, builds):
+        for modes in range(1, 10):
+            occupation_array(2, modes)
+        assert list(fock._held) == list(range(2, 10))  # the least recently used, 1, dropped
+        occupation_array(1, 2)  # a prefix of the held grid: now the most recently used
+        occupation_array(2, 1)
+        assert list(fock._held) == [4, 5, 6, 7, 8, 9, 2, 1]
+        assert builds == [(2, modes) for modes in range(1, 10)] + [(2, 1)]
+
+    def test_a_second_full_check_run_builds_no_grid(self, builds):
+        checks.run_checks("full")
+        assert builds
+        builds.clear()
+        assert all(result.passed for result in checks.run_checks("full"))
+        assert builds == []
 
 
 class TestGridSize:
